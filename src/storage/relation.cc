@@ -1,44 +1,121 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 #include "util/hash.h"
 
 namespace magic {
 
+namespace {
+
+/// Capacity of a relation's first dedup table and of an index's first
+/// key table.
+constexpr size_t kMinSlots = 16;
+
+}  // namespace
+
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       epoch_(other.epoch_.load(std::memory_order_acquire)),
       aggregate_epoch_(other.aggregate_epoch_),
-      data_(other.data_),
       zero_ary_count_(other.zero_ary_count_),
-      dedup_(other.dedup_) {
-  // Copy the source's built-mask set under its lock — pinned readers may
-  // be adding masks via EnsureIndex concurrently. Only the mask keys are
-  // taken; the Index objects themselves stay with the source (their
-  // buckets would be stale against our future mutations anyway).
-  std::vector<uint64_t> masks;
+      slots_(other.slots_),
+      slot_shift_(other.slot_shift_) {
+  // The clone keeps the source's row capacity, not just its rows (its
+  // index arenas too): an insert-only batch then appends without a
+  // reallocation, and successive clones of a relation request identical
+  // block sizes, so the allocator reuses the blocks retired versions free
+  // instead of growing the heap by a relation's worth per write.
+  data_.reserve(other.data_.capacity());
+  data_.assign(other.data_.begin(), other.data_.end());
+  // Copy the source's indices under its lock — pinned readers may be
+  // adding masks via EnsureIndex concurrently, and a build in flight holds
+  // the lock, so each index is read whole, together with its watermark.
+  // The copies are installed after the source lock is released: both
+  // mutexes share one rank, so they must never nest.
+  std::vector<std::pair<uint64_t, std::unique_ptr<Index>>> copies;
   {
     MutexLock source_lock(other.index_mutex_);
-    masks.reserve(other.indices_.size());
-    for (const auto& [mask, index] : other.indices_) masks.push_back(mask);
+    copies.reserve(other.indices_.size());
+    for (const auto& [mask, index] : other.indices_) {
+      auto copy = std::make_unique<Index>();
+      const size_t built = index->rows_built.load(std::memory_order_relaxed);
+      if (built != kIndexInvalidated) {
+        copy->entries = index->entries;
+        copy->arena.reserve(index->arena.capacity());  // as for data_
+        copy->arena.assign(index->arena.begin(), index->arena.end());
+        copy->shift = index->shift;
+        copy->used = index->used;
+        copy->rows_built.store(built, std::memory_order_relaxed);
+      }
+      copies.emplace_back(mask, std::move(copy));
+    }
   }
-  if (masks.empty()) return;
-  // Seed an empty, unbuilt index per mask and publish the table now:
-  // EnsureIndex's fast path sees rows_built != size() and falls through
-  // to the build, so the first probe per mask pays one lazy rebuild and
-  // every later probe is lock-free again.
+  if (copies.empty()) return;
   MutexLock lock(index_mutex_);
   auto table = std::make_unique<IndexTable>();
-  table->entries.reserve(masks.size());
-  for (uint64_t mask : masks) {
-    auto [it, inserted] = indices_.try_emplace(mask);
-    if (inserted) it->second = std::make_unique<Index>();
-    table->entries.emplace_back(mask, it->second.get());
+  table->entries.reserve(copies.size());
+  for (auto& [mask, index] : copies) {
+    table->entries.emplace_back(mask, index.get());
+    indices_.emplace(mask, std::move(index));
   }
   index_table_.store(table.get(), std::memory_order_release);
   table_owner_.push_back(std::move(table));
+}
+
+uint64_t Relation::RowHash(size_t row) const {
+  std::span<const TermId> r = Row(row);
+  return HashRange(r.begin(), r.end());
+}
+
+size_t Relation::FindSlot(std::span<const TermId> tuple,
+                          uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = HomeSlot(hash);; slot = (slot + 1) & mask) {
+    const uint32_t id = slots_[slot];
+    if (id == 0) return slot;
+    const TermId* r = data_.data() + static_cast<size_t>(id - 1) * arity_;
+    if (std::equal(tuple.begin(), tuple.end(), r)) return slot;
+  }
+}
+
+size_t Relation::SlotOfRow(uint32_t row) const {
+  const size_t mask = slots_.size() - 1;
+  size_t slot = HomeSlot(RowHash(row));
+  while (slots_[slot] != row + 1) slot = (slot + 1) & mask;
+  return slot;
+}
+
+void Relation::GrowSlots() {
+  const size_t capacity = std::max(kMinSlots, slots_.size() * 2);
+  slots_.assign(capacity, 0);
+  slot_shift_ = static_cast<uint32_t>(64 - std::countr_zero(capacity));
+  const size_t mask = capacity - 1;
+  // Rows are distinct, so re-slotting needs no comparisons.
+  for (size_t row = 0; row < size(); ++row) {
+    size_t slot = HomeSlot(RowHash(row));
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<uint32_t>(row) + 1;
+  }
+}
+
+void Relation::EraseSlot(size_t hole) {
+  // Backward shift: walk the rest of the probe chain and pull back every
+  // entry whose home slot does not lie strictly between the hole and its
+  // current slot (cyclically), so no lookup ever crosses an empty slot
+  // before reaching its row.
+  const size_t mask = slots_.size() - 1;
+  for (size_t next = (hole + 1) & mask; slots_[next] != 0;
+       next = (next + 1) & mask) {
+    const size_t home = HomeSlot(RowHash(slots_[next] - 1));
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole] = 0;
 }
 
 bool Relation::Insert(std::span<const TermId> tuple) {
@@ -49,40 +126,17 @@ bool Relation::Insert(std::span<const TermId> tuple) {
     BumpEpoch();
     return true;
   }
-  uint64_t h = HashRange(tuple.begin(), tuple.end());
-  std::vector<uint32_t>& bucket = dedup_[h];
-  for (uint32_t row : bucket) {
-    std::span<const TermId> existing = Row(row);
-    bool equal = true;
-    for (uint32_t i = 0; i < arity_; ++i) {
-      if (existing[i] != tuple[i]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return false;
-  }
-  uint32_t row = static_cast<uint32_t>(size());
+  // Grow first, so the table stays at most 3/4 full with the new row in
+  // it and the empty slot ending the probe is where that row goes.
+  if ((size() + 1) * 4 > slots_.size() * 3) GrowSlots();
+  const size_t slot = FindSlot(tuple, HashRange(tuple.begin(), tuple.end()));
+  if (slots_[slot] != 0) return false;
+  const uint32_t row = CheckedRowId(size());
   data_.insert(data_.end(), tuple.begin(), tuple.end());
-  bucket.push_back(row);
+  slots_[slot] = row + 1;
   BumpEpoch();
   return true;
 }
-
-namespace {
-
-/// Drops one value from a dedup bucket (present by construction).
-void EraseFromBucket(std::vector<uint32_t>* bucket, uint32_t value) {
-  for (size_t i = 0; i < bucket->size(); ++i) {
-    if ((*bucket)[i] == value) {
-      (*bucket)[i] = bucket->back();
-      bucket->pop_back();
-      return;
-    }
-  }
-}
-
-}  // namespace
 
 bool Relation::Retract(std::span<const TermId> tuple) {
   MAGIC_CHECK(tuple.size() == arity_);
@@ -92,32 +146,22 @@ bool Relation::Retract(std::span<const TermId> tuple) {
     BumpEpoch();
     return true;
   }
-  std::optional<uint32_t> row = FindRow(tuple);
-  if (!row.has_value()) return false;
-  // Swap-with-last removal: only the moved row changes id, so the dedup
-  // map is patched in O(1) instead of rebuilt — a batch retracting K
-  // tuples costs O(K), not O(K * rows). Row order is not semantic for a
-  // quiescent EDB (it is a set; semi-naive delta windows only matter
-  // inside a fixpoint, never across the write seam).
+  if (slots_.empty()) return false;
+  const size_t slot = FindSlot(tuple, HashRange(tuple.begin(), tuple.end()));
+  if (slots_[slot] == 0) return false;
+  const uint32_t row = slots_[slot] - 1;
+  // Swap-with-last removal: only the last row changes id, so its slot is
+  // patched in place instead of the table being rebuilt — a batch
+  // retracting K tuples costs O(K), not O(K * rows). Row order is not
+  // semantic for a quiescent EDB (it is a set; semi-naive delta windows
+  // only matter inside a fixpoint, never across the write seam).
   const uint32_t last = static_cast<uint32_t>(size()) - 1;
-  auto bucket_it = dedup_.find(HashRange(tuple.begin(), tuple.end()));
-  EraseFromBucket(&bucket_it->second, *row);
-  // Drop emptied buckets: under insert/retract churn the map must track
-  // live tuples, not lifetime-total distinct ones. (If the moved row
-  // hashes here too, the bucket still holds its id and stays.)
-  if (bucket_it->second.empty()) dedup_.erase(bucket_it);
-  if (*row != last) {
+  EraseSlot(slot);
+  if (row != last) {
+    slots_[SlotOfRow(last)] = row + 1;
     std::span<const TermId> moved = Row(last);
-    uint64_t moved_hash = HashRange(moved.begin(), moved.end());
     std::copy(moved.begin(), moved.end(),
-              data_.begin() + static_cast<ptrdiff_t>(*row) * arity_);
-    std::vector<uint32_t>& bucket = dedup_[moved_hash];
-    for (uint32_t& id : bucket) {
-      if (id == last) {
-        id = *row;
-        break;
-      }
-    }
+              data_.begin() + static_cast<ptrdiff_t>(row) * arity_);
   }
   data_.resize(static_cast<size_t>(last) * arity_);
   // The per-mask indices hold stale ids for the moved row; mark each for
@@ -139,7 +183,7 @@ void Relation::Clear() {
   if (size() == 0) return;  // tuple set unchanged: no spurious invalidation
   data_.clear();
   zero_ary_count_ = 0;
-  dedup_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0);
   // Drop all indices: the watermark design only supports appends, so a
   // truncation must start index state from scratch. Exclusive access means
   // no probe is in flight, so the retired snapshots can go too (they point
@@ -167,20 +211,11 @@ std::optional<uint32_t> Relation::FindRow(
     if (zero_ary_count_ > 0) return 0u;
     return std::nullopt;
   }
-  auto it = dedup_.find(HashRange(tuple.begin(), tuple.end()));
-  if (it == dedup_.end()) return std::nullopt;
-  for (uint32_t row : it->second) {
-    std::span<const TermId> existing = Row(row);
-    bool equal = true;
-    for (uint32_t i = 0; i < arity_; ++i) {
-      if (existing[i] != tuple[i]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return row;
-  }
-  return std::nullopt;
+  if (slots_.empty()) return std::nullopt;
+  const uint32_t id =
+      slots_[FindSlot(tuple, HashRange(tuple.begin(), tuple.end()))];
+  if (id == 0) return std::nullopt;
+  return id - 1;
 }
 
 uint64_t Relation::KeyHashForRow(uint64_t mask, size_t row) const {
@@ -192,18 +227,76 @@ uint64_t Relation::KeyHashForRow(uint64_t mask, size_t row) const {
   return h;
 }
 
+const Relation::Index::Entry* Relation::Index::Find(uint64_t hash) const {
+  if (entries.empty()) return nullptr;
+  const size_t mask = entries.size() - 1;
+  for (size_t slot = SlotFor(hash, shift);; slot = (slot + 1) & mask) {
+    const Entry& e = entries[slot];
+    if (e.capacity == 0) return nullptr;
+    if (e.hash == hash) return &e;
+  }
+}
+
+void Relation::Index::Append(uint64_t hash, uint32_t row) {
+  if ((used + 1) * 4 > entries.size() * 3) Grow();
+  const size_t mask = entries.size() - 1;
+  size_t slot = SlotFor(hash, shift);
+  while (entries[slot].capacity != 0 && entries[slot].hash != hash) {
+    slot = (slot + 1) & mask;
+  }
+  Entry& e = entries[slot];
+  if (e.capacity == 0) {
+    e = Entry{hash, arena.size(), 0, 1};
+    arena.push_back(0);
+    ++used;
+  } else if (e.size == e.capacity) {
+    const uint32_t extra = std::min(e.capacity, UINT32_MAX - e.capacity);
+    MAGIC_CHECK(extra > 0);
+    if (e.begin + e.capacity == arena.size()) {
+      arena.resize(arena.size() + extra);  // last list: grow in place
+    } else {
+      const size_t moved = arena.size();
+      arena.resize(moved + e.capacity + extra);
+      std::copy_n(arena.begin() + static_cast<ptrdiff_t>(e.begin), e.size,
+                  arena.begin() + static_cast<ptrdiff_t>(moved));
+      e.begin = moved;
+    }
+    e.capacity += extra;
+  }
+  arena[e.begin + e.size++] = row;
+}
+
+void Relation::Index::Reset() {
+  std::fill(entries.begin(), entries.end(), Entry{});
+  arena.clear();
+  used = 0;
+}
+
+void Relation::Index::Grow() {
+  std::vector<Entry> old = std::move(entries);
+  const size_t capacity = std::max(kMinSlots, old.size() * 2);
+  entries.assign(capacity, Entry{});
+  shift = static_cast<uint32_t>(64 - std::countr_zero(capacity));
+  const size_t mask = capacity - 1;
+  for (const Entry& e : old) {
+    if (e.capacity == 0) continue;
+    size_t slot = SlotFor(e.hash, shift);
+    while (entries[slot].capacity != 0) slot = (slot + 1) & mask;
+    entries[slot] = e;
+  }
+}
+
 void Relation::ExtendIndex(uint64_t mask, Index* index) const {
   size_t rows = size();
   size_t built = index->rows_built.load(std::memory_order_relaxed);
   if (built > rows) {
     // Invalidated by a retraction (or shrunk past the watermark): the
-    // existing buckets hold stale ids, so rebuild from scratch.
-    index->buckets.clear();
+    // existing lists hold stale ids, so rebuild from scratch.
+    index->Reset();
     built = 0;
   }
   for (size_t row = built; row < rows; ++row) {
-    index->buckets[KeyHashForRow(mask, row)].push_back(
-        static_cast<uint32_t>(row));
+    index->Append(KeyHashForRow(mask, row), static_cast<uint32_t>(row));
   }
   index->rows_built.store(rows, std::memory_order_release);
 }
@@ -269,18 +362,18 @@ Relation::Cursor Relation::OpenProbe(uint64_t mask,
     return c;
   }
   const Index* index = EnsureIndex(mask);
-  uint64_t h = HashRange(key.begin(), key.end());
-  auto it = index->buckets.find(h);
-  if (it == index->buckets.end()) return c;  // empty scan: pos_ == end_ == 0
-  const std::vector<uint32_t>& bucket = it->second;
-  // Bucket rows ascend, so the window's start is a binary search and its
+  const Index::Entry* entry =
+      index->Find(HashRange(key.begin(), key.end()));
+  if (entry == nullptr) return c;  // empty scan: pos_ == end_ == 0
+  // Listed rows ascend, so the window's start is a binary search and its
   // end is the Next() early-out at to_.
-  c.bucket_ = &bucket;
+  const uint32_t* rows = index->arena.data() + entry->begin;
+  c.bucket_ = rows;
   c.pos_ = static_cast<size_t>(
-      std::lower_bound(bucket.begin(), bucket.end(),
+      std::lower_bound(rows, rows + entry->size,
                        static_cast<uint32_t>(from_row)) -
-      bucket.begin());
-  c.end_ = bucket.size();
+      rows);
+  c.end_ = entry->size;
   c.to_ = to_row;
   c.mask_ = mask;
   c.key_ = key.data();
@@ -290,12 +383,12 @@ Relation::Cursor Relation::OpenProbe(uint64_t mask,
 void Relation::ProbeIndex(const Index& index, std::span<const TermId> key,
                           uint64_t mask, size_t from_row, size_t to_row,
                           std::vector<uint32_t>* out) const {
-  uint64_t h = HashRange(key.begin(), key.end());
-  auto it = index.buckets.find(h);
-  if (it == index.buckets.end()) return;
-  // Bucket rows are in ascending order; verify key equality per row (the
-  // bucket is keyed by hash only).
-  for (uint32_t row : it->second) {
+  const Index::Entry* entry = index.Find(HashRange(key.begin(), key.end()));
+  if (entry == nullptr) return;
+  // Listed rows are in ascending order; verify key equality per row (the
+  // list is keyed by hash only).
+  const uint32_t* rows = index.arena.data() + entry->begin;
+  for (uint32_t row : std::span<const uint32_t>(rows, entry->size)) {
     if (row < from_row) continue;
     if (row >= to_row) break;
     std::span<const TermId> r = Row(row);

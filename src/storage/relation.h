@@ -11,10 +11,19 @@
 
 #include "ast/term.h"
 #include "util/annotated_mutex.h"
+#include "util/check.h"
 
 namespace magic {
 
 /// A set of ground tuples of fixed arity, stored flat and append-only.
+///
+/// Storage is two flat arrays: the rows themselves (`data_`, arity ids per
+/// row) and a dedup table of row ids (`slots_`: open addressing, slot value
+/// = row + 1 with 0 for empty, linear probing, a power-of-two capacity at
+/// most 3/4 full). Membership is a probe from the slot a multiply-shift mix
+/// of the tuple hash picks, comparing rows until an empty slot. Retract
+/// removes by swap-with-last and backward-shift deletion, so insert/retract
+/// churn leaves no tombstones and the table never needs a cleanup pass.
 ///
 /// Append-only storage gives the semi-naive evaluator its deltas for free:
 /// the delta of an iteration is a row range [prev_size, cur_size), so no
@@ -41,15 +50,32 @@ namespace magic {
 /// the writer's private clone.
 class Relation {
  public:
+  /// Most rows a relation can hold. Row ids are uint32_t, a dedup slot
+  /// stores row + 1, and Cursor::kDone (UINT32_MAX) must never be a row,
+  /// so the largest usable row id is UINT32_MAX - 1.
+  static constexpr size_t kMaxRows = size_t{UINT32_MAX};
+
+  /// Narrows a row index to a row id, aborting at kMaxRows or beyond
+  /// instead of silently wrapping. Insert takes every new row's id here.
+  static uint32_t CheckedRowId(size_t row) {
+    MAGIC_CHECK(row < kMaxRows);
+    return static_cast<uint32_t>(row);
+  }
+
   explicit Relation(uint32_t arity) : arity_(arity) {}
 
-  /// Copy-on-write clone: copies the tuple set, the dedup map, and the
-  /// epoch value, and seeds an empty index per mask the source had built
-  /// (published immediately, rows_built = 0, so the first probe on the
-  /// clone rebuilds lazily instead of paying the build up front for masks
-  /// the workload may never touch again). Safe to call while other
-  /// threads probe the SOURCE (its index set is read under its mutex);
-  /// the clone itself is invisible to them until the caller publishes it.
+  /// Copy-on-write clone: copies the rows and the dedup table as two flat
+  /// arrays (one allocation and one memcpy each, whatever the row count;
+  /// the row array keeps the source's capacity), the epoch value, and
+  /// every per-mask index the source has built, buckets and `rows_built`
+  /// watermark included, and publishes them at once; an index is two flat
+  /// arrays as well. A writer that only appends to the clone therefore
+  /// extends each index from its watermark (RebuildIndexes) instead of
+  /// re-indexing every row. An index a retract has invalidated is carried as an empty one
+  /// (rows_built = 0), rebuilt from row 0 on the next RebuildIndexes or
+  /// probe. Safe to call while other threads probe the SOURCE (its indices
+  /// are read under its mutex); the clone itself is invisible to them
+  /// until the caller publishes it.
   Relation(const Relation& other);
   Relation& operator=(const Relation&) = delete;
 
@@ -114,7 +140,7 @@ class Relation {
   /// Removes one tuple; returns true if it was present (and bumps the
   /// epoch), false for an absent tuple (no epoch movement). Removal is
   /// swap-with-last (row order is not semantic at rest), so the call is
-  /// O(arity + bucket) — a batch of K retracts costs O(K), plus one
+  /// O(arity + probe chain) — a batch of K retracts costs O(K), plus one
   /// index rebuild per relation afterwards: retraction breaks the
   /// append-only watermark design, so the per-mask indices are marked
   /// invalidated and rebuilt from scratch (lazily on the next probe, or
@@ -151,7 +177,7 @@ class Relation {
 
   /// Allocation-free probe: yields the row indices Probe would produce,
   /// one Next() at a time, with no output vector. The cursor borrows the
-  /// relation, the key storage, and (for mask != 0) the index bucket it
+  /// relation, the key storage, and (for mask != 0) the index row list it
   /// iterates, so it is only valid while none of those move: rows and
   /// indices of *this relation for this mask* must not grow while the
   /// cursor is live (appending to a different relation, or building a
@@ -171,7 +197,7 @@ class Relation {
         return static_cast<uint32_t>(pos_++);
       }
       while (pos_ < end_) {
-        const uint32_t row = (*bucket_)[pos_++];
+        const uint32_t row = bucket_[pos_++];
         if (row >= to_) return kDone;  // bucket rows ascend: nothing further
         if (rel_->RowMatchesKey(mask_, key_, row)) return row;
       }
@@ -181,7 +207,7 @@ class Relation {
    private:
     friend class Relation;
     const Relation* rel_ = nullptr;
-    const std::vector<uint32_t>* bucket_ = nullptr;  // null => scan path
+    const uint32_t* bucket_ = nullptr;  // null => scan path
     size_t pos_ = 0;   // scan: next row; bucket: next bucket position
     size_t end_ = 0;   // scan: to_row; bucket: bucket size
     size_t to_ = 0;    // bucket path: exclusive row bound
@@ -201,20 +227,50 @@ class Relation {
   static constexpr uint64_t kNoMask = 0;
 
  private:
-  /// rows_built value marking an index whose buckets hold stale row ids
+  friend struct RelationTestPeer;  // white-box dedup-table checks in tests
+
+  /// rows_built value marking an index whose lists hold stale row ids
   /// (set by Retract); ExtendIndex sees it as "built > rows" and rebuilds
   /// from scratch. Can never equal a real row count, so the lock-free
   /// fast path always rejects an invalidated index.
   static constexpr size_t kIndexInvalidated = ~size_t{0};
 
+  /// One per-mask probe index, flat like the rows: an open-addressing
+  /// table of key hashes (linear probing, power-of-two capacity at most
+  /// 3/4 full) whose entries locate ascending row lists in one arena. A
+  /// full list moves to the arena's end with twice the room, except that
+  /// the list already at the end grows in place; the hole a move leaves is
+  /// reclaimed by the next rebuild from scratch, and holes never outgrow
+  /// the live lists. Copying an index is therefore two array copies, and
+  /// an index allocates a handful of large blocks, never one per key.
   struct Index {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    /// Release-stored after the bucket writes of a build; the lock-free
+    struct Entry {
+      uint64_t hash = 0;
+      size_t begin = 0;       // arena offset of the row list
+      uint32_t size = 0;
+      uint32_t capacity = 0;  // 0 marks an empty slot
+    };
+    std::vector<Entry> entries;
+    std::vector<uint32_t> arena;
+    uint32_t shift = 64;  // 64 - log2(entries.size())
+    size_t used = 0;      // occupied entries
+    /// Release-stored after the list writes of a build; the lock-free
     /// fast path acquires it, so seeing rows_built == size() proves the
-    /// buckets for those rows are fully visible. A reader seeing a stale
+    /// lists for those rows are fully visible. A reader seeing a stale
     /// value (including kIndexInvalidated) falls through to the
     /// mutex-guarded build path.
     std::atomic<size_t> rows_built{0};
+
+    /// The entry for `hash`, or null when no row has that key hash.
+    const Entry* Find(uint64_t hash) const;
+    /// Appends `row`, larger than every row listed so far, to the list of
+    /// `hash`.
+    void Append(uint64_t hash, uint32_t row);
+    /// Drops every list, keeping the table's size.
+    void Reset();
+
+   private:
+    void Grow();
   };
 
   /// Immutable snapshot of the indices built so far; a handful of (mask,
@@ -226,6 +282,25 @@ class Relation {
   };
 
   uint64_t KeyHashForRow(uint64_t mask, size_t row) const;
+
+  /// First probe slot for `hash` in a table of 2^(64 - shift) slots: the
+  /// high bits of a multiply-shift mix, because HashRange's low bits are
+  /// weak. Shared by the dedup table and the per-mask indices.
+  static size_t SlotFor(uint64_t hash, uint32_t shift) {
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift);
+  }
+
+  /// Dedup-table helpers (the table is non-empty whenever size() > 0).
+  size_t HomeSlot(uint64_t hash) const { return SlotFor(hash, slot_shift_); }
+  uint64_t RowHash(size_t row) const;
+  /// The slot holding `tuple`, or the empty slot ending its probe chain.
+  size_t FindSlot(std::span<const TermId> tuple, uint64_t hash) const;
+  /// The slot holding row id `row` (present by construction).
+  size_t SlotOfRow(uint32_t row) const;
+  /// Doubles the table (16 slots when empty) and re-slots every row.
+  void GrowSlots();
+  /// Empties `slot` by backward-shift deletion.
+  void EraseSlot(size_t slot);
   void ExtendIndex(uint64_t mask, Index* index) const REQUIRES(index_mutex_);
   void ProbeIndex(const Index& index, std::span<const TermId> key,
                   uint64_t mask, size_t from_row, size_t to_row,
@@ -270,7 +345,10 @@ class Relation {
   bool deferred_dirty_ = false;
   std::vector<TermId> data_;
   size_t zero_ary_count_ = 0;  // 0-ary relations hold at most one tuple
-  std::unordered_map<uint64_t, std::vector<uint32_t>> dedup_;
+  /// Dedup table: row + 1 per occupied slot, 0 when empty (see the class
+  /// comment). slot_shift_ = 64 - log2(slots_.size()).
+  std::vector<uint32_t> slots_;
+  uint32_t slot_shift_ = 64;
 
   mutable std::atomic<const IndexTable*> index_table_{nullptr};
   /// Guards the two owners below. A data-plane lock: legal under the

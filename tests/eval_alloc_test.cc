@@ -14,6 +14,7 @@
 #include <new>
 
 #include "eval/evaluator.h"
+#include "storage/relation.h"
 #include "workload/generators.h"
 
 // Sanitizers interpose their own allocator machinery; the counts are still
@@ -89,8 +90,8 @@ RunCost MeasureNonlinear(int n) {
 }
 
 TEST(EvalAllocTest, JoinLoopDoesNotAllocatePerProbedRow) {
-  // Storing a new distinct fact legitimately allocates (dedup hash node,
-  // bucket vector, amortized data growth) — the allocation-freedom claim
+  // Storing a new distinct fact legitimately allocates (amortized growth
+  // of the flat row/dedup/index arrays) — the allocation-freedom claim
   // is about the *join loop*: probing, slot binding, and duplicate
   // derivations must not touch the heap. Nonlinear ancestor separates the
   // two scales: on a chain of n nodes the fixpoint derives ~n^2/2 facts
@@ -124,9 +125,8 @@ TEST(EvalAllocTest, JoinLoopDoesNotAllocatePerProbedRow) {
       << "allocations scale with probed rows: " << small.allocations
       << " -> " << large.allocations << " (probes " << small.join_probes
       << " -> " << large.join_probes << ")";
-  // Absolute bound: a handful of allocations per *stored* fact (dedup
-  // node + bucket + index growth), regardless of how many rows were
-  // scanned to derive it.
+  // Absolute bound: a handful of allocations per *stored* fact (storage
+  // growth), regardless of how many rows were scanned to derive it.
   EXPECT_LT(large.allocations, 4 * large.new_facts)
       << "more than ~4 allocations per derived fact";
 #endif
@@ -152,6 +152,82 @@ TEST(EvalAllocTest, CompiledPathAllocatesNoMoreThanInterpreter) {
   EXPECT_EQ(compiled.stats.new_facts, interpreted.stats.new_facts);
 #if MAGIC_ALLOC_TEST_STRICT
   EXPECT_LE(compiled_allocs, interpreted_allocs);
+#endif
+}
+
+// --- Relation copy-on-write clones -----------------------------------------
+// A clone copies rows and the dedup table as two flat arrays and carries
+// each built per-mask index, itself two flat arrays. These pin that down:
+// no per-row (or per-key) allocation in a clone, and no from-scratch index
+// rebuild after an insert into one.
+
+/// A relation of `rows` tuples (k, i) over `keys` distinct first columns.
+std::unique_ptr<Relation> MakeRelation(uint32_t rows, uint32_t keys) {
+  auto rel = std::make_unique<Relation>(2);
+  for (uint32_t i = 0; i < rows; ++i) {
+    rel->Insert(std::vector<TermId>{i % keys, i});
+  }
+  return rel;
+}
+
+uint64_t CloneAllocations(const Relation& rel) {
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  Relation clone(rel);
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(clone.size(), rel.size());
+  return after - before;
+}
+
+void BuildIndex(const Relation& rel, uint64_t mask) {
+  std::vector<uint32_t> rows;
+  rel.Probe(mask, std::vector<TermId>{0}, 0, rel.size(), &rows);
+  ASSERT_FALSE(rows.empty());
+}
+
+TEST(EvalAllocTest, RelationCloneWithoutIndexAllocatesConstant) {
+  std::unique_ptr<Relation> small = MakeRelation(1'000, 1'000);
+  std::unique_ptr<Relation> large = MakeRelation(100'000, 100'000);
+  [[maybe_unused]] const uint64_t small_allocs = CloneAllocations(*small);
+  [[maybe_unused]] const uint64_t large_allocs = CloneAllocations(*large);
+#if MAGIC_ALLOC_TEST_STRICT
+  // The row array and the dedup table: one allocation each.
+  EXPECT_EQ(small_allocs, large_allocs);
+  EXPECT_LE(large_allocs, 2u);
+#endif
+}
+
+TEST(EvalAllocTest, RelationCloneAllocationsFollowKeysNotRows) {
+  // Same 64 index keys, twice the rows: the carried index's row lists are
+  // longer but no more numerous, so the clone allocates about as often.
+  std::unique_ptr<Relation> small = MakeRelation(20'000, 64);
+  std::unique_ptr<Relation> large = MakeRelation(40'000, 64);
+  BuildIndex(*small, 0b01);
+  BuildIndex(*large, 0b01);
+  [[maybe_unused]] const uint64_t small_allocs = CloneAllocations(*small);
+  [[maybe_unused]] const uint64_t large_allocs = CloneAllocations(*large);
+#if MAGIC_ALLOC_TEST_STRICT
+  EXPECT_LT(large_allocs, 2 * small_allocs)
+      << small_allocs << " -> " << large_allocs;
+  EXPECT_LE(large_allocs, small_allocs + 4);
+#endif
+}
+
+TEST(EvalAllocTest, RelationInsertIntoCloneExtendsCarriedIndex) {
+  std::unique_ptr<Relation> source = MakeRelation(50'000, 5'000);
+  BuildIndex(*source, 0b01);
+  Relation clone(*source);
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(clone.Insert(std::vector<TermId>{7, 1'000'000}));
+  clone.RebuildIndexes();
+  [[maybe_unused]] const uint64_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  std::vector<uint32_t> rows;
+  clone.Probe(0b01, std::vector<TermId>{7}, 0, clone.size(), &rows);
+  EXPECT_EQ(rows.size(), 11u);
+#if MAGIC_ALLOC_TEST_STRICT
+  // At most a dedup-table doubling and an index-arena growth: a rebuild
+  // from row 0 would regrow the index's tables from 16 slots.
+  EXPECT_LE(allocs, 6u);
 #endif
 }
 
