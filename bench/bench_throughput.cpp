@@ -272,7 +272,7 @@ void RunCase(BenchCase& c, size_t max_threads, const std::string& mode,
   // The mutate mode's toggled edge: two fresh constants (interned now, at
   // a quiescent point — never while a service is live) on some arity-2
   // base relation of the workload. The nodes are disconnected from every
-  // query seed, so answers are unchanged; only the epoch moves.
+  // query seed, so answers are unchanged; only the version moves.
   const TermId mut_a = c.workload.universe->Constant("mut_a");
   const TermId mut_b = c.workload.universe->Constant("mut_b");
   PredId mutate_pred = 0;

@@ -70,8 +70,8 @@ grep -q 'adornment=bf' "$WORK/prepare.head" \
 rows=$(run query "anc(c0, Y)" | wc -l)
 [ "$rows" -eq 3 ] || fail "expected 3 rows before the write, got $rows"
 
-# APPLY extends the chain; the next read must see the new edge (epoch
-# fencing: no stale cache serve).
+# APPLY extends the chain; the next read must see the new edge (the new
+# version is published before APPLY replies: no stale cache serve).
 printf '+par(c3, c4).\n' | run apply > /dev/null || fail "apply rejected"
 rows=$(run query "anc(c0, Y)" | wc -l)
 [ "$rows" -eq 4 ] || fail "expected 4 rows after the write, got $rows"

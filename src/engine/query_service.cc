@@ -137,9 +137,9 @@ AnswerCache::Tuples FilterSubsumed(const AnswerCache::Tuples& all,
   return out;
 }
 
-/// Nanoseconds-since-epoch of a steady_clock time point, on the same
-/// clock obs::Trace::NowNs() reads — so span and latency arithmetic can
-/// mix deadline anchors with trace timestamps.
+/// A steady_clock time point in nanoseconds, on the same clock
+/// obs::Trace::NowNs() reads — so span and latency arithmetic can mix
+/// deadline anchors with trace timestamps.
 uint64_t ToNs(std::chrono::steady_clock::time_point tp) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -159,7 +159,7 @@ std::string SeedToString(const Universe& u, const std::vector<TermId>& seed) {
 
 }  // namespace
 
-QueryService::QueryService(const Program& program, const Database& db,
+QueryService::QueryService(const Program& program, Database& db,
                            QueryServiceOptions options)
     : program_(program),
       db_(db),
@@ -227,13 +227,6 @@ QueryService::QueryService(const Program& program, const Database& db,
       "magicdb_db_versions_pinned", {},
       "Retired-from-head versions kept alive only by reader pins "
       "(refreshed at scrape)");
-}
-
-QueryService::QueryService(const Program& program, Database& db,
-                           QueryServiceOptions options)
-    : QueryService(program, static_cast<const Database&>(db),
-                   std::move(options)) {
-  mutable_db_ = &db;
 }
 
 QueryService::~QueryService() = default;
@@ -377,13 +370,12 @@ bool QueryService::TryServeCached(CachedForm* cached,
   // reporting; they can never have been cached (fills follow successful
   // evaluations only).
   if (bound_values.size() != cached->form->bound_arity()) return false;
-  // No write fence is needed around the probe (the pre-MVCC design
-  // re-checked the epoch here): a hit keyed at version V is the complete
-  // answer for V, and serving it while version V+1 publishes concurrently
-  // is linearizable — the request overlapped the write. Post-write reads
-  // are still never stale, because a publish happens-before ApplyWrites
-  // returns, so a request submitted after the write probes at >= V+1 and
-  // misses every older entry.
+  // No write fence is needed around the probe: a hit keyed at version V
+  // is the complete answer for V, and serving it while version V+1
+  // publishes concurrently is linearizable — the request overlapped the
+  // write. Post-write reads are still never stale, because a publish
+  // happens-before ApplyWrites returns, so a request submitted after the
+  // write probes at >= V+1 and misses every older entry.
   std::shared_ptr<const AnswerCache::Tuples> tuples =
       cache_.Get(CacheTag(cached->form.get()), bound_values, version);
   bool subsumed = false;
@@ -612,13 +604,13 @@ void QueryService::DispatchForm(
                 limits = std::move(limits), sink = std::move(sink),
                 done = std::move(done), admitted, trace = std::move(trace),
                 t_anchor, t_submit]() mutable {
-    // Pin a snapshot for the whole evaluation: one atomic load, never
-    // blocks a writer, and the snapshot's relations can never mutate out
-    // from under the fixpoint (writers clone-on-write instead). The
-    // second-chance probe and the fill below are keyed by the pinned
-    // version — the version of the data this evaluation actually reads —
-    // even when the request was dispatched before a write and evaluated
-    // after it.
+    // Pin a snapshot for the whole evaluation: a pointer copy under the
+    // chain's leaf mutex, never waits for a writer's apply, and the
+    // snapshot's relations can never mutate out from under the fixpoint
+    // (writers clone-on-write instead). The second-chance probe and the
+    // fill below are keyed by the pinned version — the version of the data
+    // this evaluation actually reads — even when the request was
+    // dispatched before a write and evaluated after it.
     const std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
     if (trace != nullptr) {
       trace->Record(obs::Stage::kQueueWait, t_submit, obs::Trace::NowNs());
@@ -961,11 +953,6 @@ std::vector<QueryAnswer> QueryService::AnswerBatch(
 }
 
 Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
-  if (mutable_db_ == nullptr) {
-    return Status::FailedPrecondition(
-        "service was constructed over a const Database; in-band writes "
-        "need the mutable-Database constructor");
-  }
   // Validate before queueing: a malformed batch must never hold a commit
   // ticket (or even enqueue behind one).
   MAGIC_RETURN_IF_ERROR(batch.Validate(*program_.universe()));
@@ -982,12 +969,12 @@ Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
     while (ticket != commit_serving_) commit_turn_.wait(lock);
     writes_queued_gauge_->Add(-1);
   }
-  // Build version N+1 and publish it with one release store. No drain:
+  // Build version N+1 and publish it. No drain:
   // in-flight fixpoints keep their pinned snapshots (the storage layer
   // clones any relation a snapshot still shares before mutating it), so
   // publish latency is independent of the longest-running evaluation.
   Stopwatch publish;
-  WriteResult result = versions_.Commit(*mutable_db_, batch);
+  WriteResult result = versions_.Commit(db_, batch);
   write_publish_->Record(
       static_cast<uint64_t>(publish.ElapsedSeconds() * 1e9));
   writes_applied_->Add();

@@ -42,13 +42,13 @@ struct QueryServiceOptions {
   /// rejects). Plain Submit always queues regardless.
   size_t max_pending = 0;
   /// Byte budget of the cross-query AnswerCache (memoized completed
-  /// answers keyed by form, seed, and database epoch). 0 disables
+  /// answers keyed by form, seed, and database version). 0 disables
   /// memoization entirely. Warm hits are served inline on the calling
   /// thread — no worker, no admission slot.
   size_t cache_bytes = size_t{64} << 20;
   /// Subsumption fast path: when the exact (form, seed) entry misses but
   /// the same predicate's fully-free form has a cached complete answer
-  /// set for the current epoch, serve the bound instance by filtering it
+  /// set for the current version, serve the bound instance by filtering it
   /// (and promote the filtered result to an exact entry).
   bool cache_subsumption = true;
   /// Request coalescing: when an identical (form, seed) instance is
@@ -141,7 +141,7 @@ class AnswerCursor {
 ///   * Handle tier: Prepare returns a FormHandle; the Submit/TrySubmit/
 ///     Answer/Stream overloads taking a handle skip form hashing and the
 ///     cache mutex entirely — the steady-state hot path is one version
-///     pin (an atomic load) plus pool dispatch.
+///     pin (a pointer copy under a leaf mutex) plus pool dispatch.
 ///
 /// Both tiers sit behind the cross-query AnswerCache: a completed clean
 /// answer (outcome kOk) is memoized under (form, seed, database version),
@@ -154,13 +154,13 @@ class AnswerCursor {
 /// flight at once coalesce: the first evaluates and fills, the duplicate
 /// parks and is served from the fill (see coalesce_requests).
 ///
-/// The EDB is not frozen for the service's lifetime: ApplyWrites is the
-/// sanctioned in-band mutation point, and it never waits for readers. It
-/// takes a FIFO commit ticket (writers serialize among themselves, in
-/// arrival order), builds the next database version off to the side —
-/// every relation still shared with a pinned snapshot is cloned before it
-/// is mutated — and publishes it with a single atomic store. In-flight
-/// evaluations keep their pinned version to completion; there is no drain
+/// The EDB is not frozen for the service's lifetime: ApplyWrites is its
+/// one mutation point, and it never waits for readers. It takes a FIFO
+/// commit ticket (writers serialize among themselves, in arrival order),
+/// builds the next database version off to the side — every relation
+/// still shared with a pinned snapshot is cloned before it is mutated —
+/// and publishes it with one pointer swap. In-flight evaluations keep
+/// their pinned version to completion; there is no drain
 /// and no stop-the-world window, so writer publish latency is independent
 /// of the longest-running fixpoint. Correctness rides on the paper's
 /// equivalence being per database instance (Bancilhon et al. §4; Drabent,
@@ -171,13 +171,10 @@ class AnswerCursor {
 ///
 /// Concurrency contract:
 ///   * The Program must outlive the service and must not be mutated while
-///     it exists; the Database must outlive it too, and may be mutated
-///     ONLY through ApplyWrites (in-band) or at externally synchronized
-///     quiescent points (no requests in flight) — the latter remains
-///     allowed but discouraged now that the in-band path exists. Either
-///     way the next request observes the new version and re-evaluates
-///     (quiescent-point writes are picked up by the version chain's
-///     resync on the next dispatch).
+///     it exists; the Database must outlive it too, and is mutated only
+///     through ApplyWrites. A write made to it any other way is never
+///     published: requests keep reading the last version ApplyWrites
+///     built.
 ///   * All public methods may be called from any number of threads.
 ///     Writers never block readers; readers never block writers. Writers
 ///     serialize FIFO on the commit ticket.
@@ -187,10 +184,10 @@ class AnswerCursor {
 ///     universe lock and runs concurrently with all in-flight evaluation,
 ///     serialized only on the form-cache mutex.
 ///   * The request path takes NO service-wide lock: a worker pins the
-///     current DatabaseVersion (one atomic load) and evaluates against
-///     that immutable snapshot. ApplyWrites holds commit_mutex_ only to
-///     take/redeem its ticket and touches no dispatch state while
-///     committing — machine-checked: it is EXCLUDES(commit_mutex_,
+///     current DatabaseVersion (a pointer copy under the version chain's
+///     leaf mutex) and evaluates against that immutable snapshot.
+///     ApplyWrites holds commit_mutex_ only to take/redeem its ticket and
+///     touches no dispatch state while committing — machine-checked: it is EXCLUDES(commit_mutex_,
 ///     form_mutex_, inflight_mutex_), and the commit tier ranks above
 ///     form/inflight in the Debug rank checker (util/annotated_mutex.h),
 ///     so the reverse nesting aborts.
@@ -204,12 +201,11 @@ class AnswerCursor {
 ///     construction) is safe because TermArena is internally synchronized.
 ///   * Answer sinks and cursor buffers are touched only by the evaluating
 ///     worker and the consumer, under the cursor's own mutex.
-///   * Lock order: inflight_mutex_ -> form_mutex_ -> commit tier
-///     (commit_mutex_, then the version chain's resync mutex) -> data
-///     plane (symbol/relation-index/cache-shard) -> pool/cursor
-///     internals. The order is encoded as lock ranks
-///     (util/annotated_mutex.h) and asserted on every acquisition in
-///     Debug builds.
+///   * Lock order: inflight_mutex_ -> form_mutex_ -> commit_mutex_ ->
+///     data plane (symbol/relation-index/cache-shard) -> pool/cursor
+///     internals -> leaves (the version chain's head mutex). The order is
+///     encoded as lock ranks (util/annotated_mutex.h) and asserted on
+///     every acquisition in Debug builds.
 class QueryService {
  private:
   struct CachedForm;
@@ -232,11 +228,6 @@ class QueryService {
     CachedForm* cached_ = nullptr;
   };
 
-  QueryService(const Program& program, const Database& db,
-               QueryServiceOptions options = {});
-  /// Same service over a database the caller lets it mutate: ApplyWrites
-  /// becomes available. (With the const overload above, ApplyWrites
-  /// reports FailedPrecondition — a read-only service cannot write.)
   QueryService(const Program& program, Database& db,
                QueryServiceOptions options = {});
   ~QueryService();
@@ -296,21 +287,21 @@ class QueryService {
   /// batch evaluate concurrently across the pool.
   std::vector<QueryAnswer> AnswerBatch(const std::vector<QueryRequest>& batch);
 
-  /// The in-band EDB write path: validates `batch` (declared arities,
+  /// The EDB write path: validates `batch` (declared arities,
   /// groundness — rejected batches never queue), takes a FIFO commit
   /// ticket (concurrent writers commit in arrival order; a burst cannot
   /// starve one session — queue depth is the `magicdb_writes_queued`
   /// gauge), then builds and publishes the next database version: each
   /// relation still shared with a pinned snapshot is cloned before
-  /// mutation, each NET-mutated relation's epoch bumps exactly once, its
-  /// probe indices are rebuilt, and iff anything net-changed the new
-  /// version is published with one atomic store. In-flight evaluations
-  /// are never waited on and keep their pinned snapshots; AnswerCache
-  /// entries keyed to older versions become unreachable at publish, and a
-  /// no-op batch (duplicate-only, or net-zero including Clear-then-
-  /// identical-reinsert) publishes nothing and invalidates nothing.
+  /// mutation, touched relations' probe indices are rebuilt, and iff the
+  /// WriteResult reports a NET-mutated relation the new version is
+  /// published. In-flight evaluations are never waited on and keep their
+  /// pinned snapshots; AnswerCache entries keyed to older versions become
+  /// unreachable at publish, and a no-op batch (duplicate-only, or
+  /// net-zero including Clear-then-identical-reinsert) publishes nothing
+  /// and invalidates nothing.
   /// Callable from any thread, including concurrently with Submit/Answer/
-  /// Stream. Requires the mutable-Database constructor.
+  /// Stream.
   ///
   /// EXCLUDES names the dispatch tier plus the ticket lock: ApplyWrites
   /// must enter with none of them held, and the committing writer touches
@@ -597,12 +588,10 @@ class QueryService {
       QueryLimits* limits, AnswerSink* sink, Completion* done);
 
   const Program& program_;
-  const Database& db_;
-  /// Non-null iff the service was constructed over a mutable Database;
   /// ApplyWrites is the only code that writes through it, serialized by
   /// the FIFO commit ticket (pinned snapshot readers need no exclusion —
   /// shared relations are cloned before mutation).
-  Database* mutable_db_ = nullptr;
+  Database& db_;
   QueryServiceOptions options_;
 
   /// The MVCC spine over db_: readers pin the head version at dispatch,

@@ -1,8 +1,35 @@
 #include "eval/matcher.h"
 
+#include <optional>
+
 #include "util/check.h"
 
 namespace magic {
+namespace {
+
+// Affine arithmetic wraps in two's complement: it is done in uint64_t,
+// where overflow is defined, and cast back.
+
+/// mul * value + add.
+int64_t AffineValue(int64_t mul, int64_t value, int64_t add) {
+  return static_cast<int64_t>(static_cast<uint64_t>(mul) *
+                                  static_cast<uint64_t>(value) +
+                              static_cast<uint64_t>(add));
+}
+
+/// The value v with mul * v + add == ground, or nullopt when ground - add
+/// is not a multiple of mul.
+std::optional<int64_t> AffineSolve(int64_t mul, int64_t add, int64_t ground) {
+  const uint64_t delta =
+      static_cast<uint64_t>(ground) - static_cast<uint64_t>(add);
+  // INT64_MIN / -1 overflows; negating in uint64_t does not.
+  if (mul == -1) return static_cast<int64_t>(uint64_t{0} - delta);
+  const int64_t signed_delta = static_cast<int64_t>(delta);
+  if (signed_delta % mul != 0) return std::nullopt;
+  return signed_delta / mul;
+}
+
+}  // namespace
 
 // NOTE: interning a term (u.Integer, MakeCompound) may reallocate the term
 // arena and invalidate any TermData references held across the call. Both
@@ -49,11 +76,12 @@ bool MatchTerm(const Universe& u, TermId pattern, TermId ground,
       if (bound != kInvalidTerm) {
         const TermData& b = u.terms().Get(bound);
         return b.kind == TermKind::kInteger &&
-               mul * b.value + add == ground_value;
+               AffineValue(mul, b.value, add) == ground_value;
       }
-      int64_t delta = ground_value - add;
-      if (delta % mul != 0) return false;
-      TermId binding = u.Integer(delta / mul);  // may reallocate the arena
+      const std::optional<int64_t> solved =
+          AffineSolve(mul, add, ground_value);
+      if (!solved.has_value()) return false;
+      TermId binding = u.Integer(*solved);  // may reallocate the arena
       subst->Bind(var, binding);
       return true;
     }
@@ -92,7 +120,7 @@ TermId SubstituteGround(const Universe& u, TermId pattern,
       const TermData& b = u.terms().Get(bound);
       if (b.kind != TermKind::kInteger) return kInvalidTerm;
       const int64_t value = b.value;
-      return u.Integer(mul * value + add);
+      return u.Integer(AffineValue(mul, value, add));
     }
     default:
       return kInvalidTerm;
@@ -155,11 +183,12 @@ bool MatchTermSlots(const Universe& u, TermId pattern, TermId ground,
       if (bound != kInvalidTerm) {
         const TermData& b = u.terms().Get(bound);
         return b.kind == TermKind::kInteger &&
-               mul * b.value + add == ground_value;
+               AffineValue(mul, b.value, add) == ground_value;
       }
-      int64_t delta = ground_value - add;
-      if (delta % mul != 0) return false;
-      TermId binding = u.Integer(delta / mul);  // may reallocate the arena
+      const std::optional<int64_t> solved =
+          AffineSolve(mul, add, ground_value);
+      if (!solved.has_value()) return false;
+      TermId binding = u.Integer(*solved);  // may reallocate the arena
       BindSlot(f, slot, binding);
       return true;
     }
@@ -197,7 +226,7 @@ TermId SubstituteGroundSlots(const Universe& u, TermId pattern,
       const TermData& b = u.terms().Get(bound);
       if (b.kind != TermKind::kInteger) return kInvalidTerm;
       const int64_t value = b.value;
-      return u.Integer(mul * value + add);
+      return u.Integer(AffineValue(mul, value, add));
     }
     default:
       return kInvalidTerm;

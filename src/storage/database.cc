@@ -42,18 +42,16 @@ Result<WriteResult> Database::Apply(const WriteBatch& batch) {
 
 WriteResult Database::ApplyValidated(const WriteBatch& batch) {
   WriteResult result;
-  // One epoch-deferral guard per touched relation: however many ops land
-  // on it, its epoch moves by exactly one iff the tuple set NET-changed.
-  // Net accounting: set semantics make every successful insert/retract of
-  // one tuple alternate (+1/-1), so a relation whose per-tuple nets are
-  // all zero ends the batch with the exact tuple set it started with. A
-  // relation that was non-empty-cleared loses the per-tuple bookkeeping,
-  // so it is force-cloned up front and its final tuple set is compared
-  // against the pre-batch clone instead — a Clear followed by reinsertion
-  // of the identical content is net-zero too. Snapshots never see the
-  // transient states (shared relations are cloned before mutation), so a
-  // net-zero relation's epoch must not move and its warm cached answers
-  // stay live.
+  // Net accounting per touched relation: set semantics make every
+  // successful insert/retract of one tuple alternate (+1/-1), so a
+  // relation whose per-tuple nets are all zero ends the batch with the
+  // exact tuple set it started with. A relation that was non-empty-cleared
+  // loses the per-tuple bookkeeping, so it is force-cloned up front and
+  // its final tuple set is compared against the pre-batch clone instead —
+  // a Clear followed by reinsertion of the identical content is net-zero
+  // too. Snapshots never see the transient states (shared relations are
+  // cloned before mutation), so a net-zero relation is not counted in
+  // `relations_mutated` and its warm cached answers stay live.
   struct TupleHash {
     size_t operator()(const std::vector<TermId>& tuple) const {
       return HashRange(tuple.begin(), tuple.end());
@@ -66,8 +64,6 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
     /// for the content comparison and the net-zero restore below.
     std::shared_ptr<Relation> original;
     Relation* rel = nullptr;
-    std::unique_ptr<Relation::EpochBatch> guard;
-    uint64_t epoch_before = 0;
     std::unordered_map<std::vector<TermId>, int, TupleHash> net;
     bool cleared = false;
   };
@@ -83,22 +79,18 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
     PredState& state = touched[op.pred];
     if (state.rel == nullptr) {
       // First touch: establish the batch's mutable relation object once —
-      // COW if a snapshot shares the slot, force-clone for Clear preds —
-      // BEFORE the epoch guard binds to it.
+      // COW if a snapshot shares the slot, force-clone for Clear preds.
       auto it = relations_.find(op.pred);
       if (it == relations_.end()) {
         uint32_t arity = universe_->predicates().info(op.pred).arity;
         it = relations_
                  .emplace(op.pred, std::make_shared<Relation>(arity))
                  .first;
-        it->second->BindEpochCounter(epoch_counter_.get());
       } else if (it->second.use_count() > 1 || clear_preds.contains(op.pred)) {
         state.original = it->second;
         it->second = std::make_shared<Relation>(*state.original);
       }
       state.rel = it->second.get();
-      state.epoch_before = state.rel->epoch();
-      state.guard = std::make_unique<Relation::EpochBatch>(*state.rel);
     }
     Relation& rel = *state.rel;
     switch (op.kind) {
@@ -148,8 +140,6 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
       }
     }
     if (net_zero) {
-      state.guard->DiscardPendingBump();
-      state.guard.reset();
       if (state.original != nullptr) {
         // The batch's scratch clone changed nothing: drop it and restore
         // the pre-batch object, whose probe indices are still warm.
@@ -162,8 +152,7 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
       }
       continue;
     }
-    state.guard.reset();  // bump, exactly once
-    if (rel.epoch() != state.epoch_before) ++result.relations_mutated;
+    ++result.relations_mutated;
     rel.RebuildIndexes();
   }
   return result;
@@ -174,16 +163,12 @@ Relation& Database::GetOrCreate(PredId pred) {
   if (it == relations_.end()) {
     uint32_t arity = universe_->predicates().info(pred).arity;
     it = relations_.emplace(pred, std::make_shared<Relation>(arity)).first;
-    // Every relation reports its mutations into the database-wide epoch,
-    // so writes made directly through this reference are observed in O(1).
-    it->second->BindEpochCounter(epoch_counter_.get());
     return *it->second;
   }
   std::shared_ptr<Relation>& slot = it->second;
   if (slot.use_count() > 1) {
     // Copy-on-write: a snapshot shares this relation, so mutations through
-    // the returned reference must land on a private clone. (The aggregate
-    // epoch pointer carries over — snapshots share the counter.)
+    // the returned reference must land on a private clone.
     slot = std::make_shared<Relation>(*slot);
   }
   return *slot;

@@ -1,7 +1,6 @@
 #ifndef MAGIC_STORAGE_DATABASE_H_
 #define MAGIC_STORAGE_DATABASE_H_
 
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 
@@ -17,21 +16,22 @@ namespace magic {
 ///
 /// Relations live behind shared_ptr slots, which makes copying a Database
 /// an O(#relations) structural-sharing snapshot: the copy shares every
-/// Relation object (and the epoch counter) with the original. Mutation is
-/// copy-on-write — GetOrCreate and ApplyValidated clone a relation whose
-/// slot is shared before touching it — so a snapshot taken before a write
-/// keeps observing the exact pre-write tuple sets forever. This is the
-/// storage half of the MVCC serving design: VersionChain publishes these
-/// snapshots as immutable DatabaseVersions that readers pin for the whole
-/// evaluation while writers mutate the base without waiting for them.
+/// Relation object with the original. Mutation is copy-on-write —
+/// GetOrCreate and ApplyValidated clone a relation whose slot is shared
+/// before touching it — so a snapshot taken before a write keeps observing
+/// the exact pre-write tuple sets forever. This is the storage half of the
+/// MVCC serving design: VersionChain publishes these snapshots as
+/// immutable DatabaseVersions that readers pin for the whole evaluation.
+/// Once a database is served, every write goes through ApplyValidated
+/// (VersionChain::Commit, QueryService::ApplyWrites), whose WriteResult
+/// is what decides whether a new version is published; AddFact, Clear and
+/// GetOrCreate are for building a database before it is served.
 class Database {
  public:
   explicit Database(std::shared_ptr<Universe> universe)
       : universe_(std::move(universe)) {}
 
-  /// Structural-sharing snapshot (see class comment). The copy shares the
-  /// epoch counter with the source, so each relation's bound aggregate
-  /// pointer stays valid no matter which of the two dies first.
+  /// Structural-sharing snapshot (see class comment).
   Database(const Database&) = default;
   Database& operator=(const Database&) = delete;
 
@@ -46,13 +46,13 @@ class Database {
   Status AddFact(PredId pred, std::vector<TermId> args);
 
   /// Removes every fact of `pred` (a no-op when the relation was never
-  /// created or is already empty — either way the fact set is unchanged,
-  /// so the epoch stays put). Requires exclusive access, like AddFact.
+  /// created or is already empty). Requires exclusive access, like
+  /// AddFact.
   void Clear(PredId pred);
 
-  /// Applies one write batch: ops in insertion order, the mutation epoch
-  /// bumped exactly once per relation whose tuple set NET-changed — a
-  /// duplicate-only batch moves no epoch, and neither does one whose
+  /// Applies one write batch: ops in insertion order, and
+  /// `relations_mutated` counts the relations whose tuple set NET-changed
+  /// — a duplicate-only batch counts none, and neither does one whose
   /// transient changes cancel out (an insert of an absent tuple followed
   /// by its retract, or a Clear followed by reinsertion of the identical
   /// content); snapshots never see intermediate states, so no invalidation
@@ -72,18 +72,6 @@ class Database {
   /// batch is a checked error on arity mismatches and undefined on the
   /// rest.
   WriteResult ApplyValidated(const WriteBatch& batch);
-
-  /// The database's monotonically increasing mutation epoch. Every
-  /// relation handed out by GetOrCreate is bound to one shared counter
-  /// (heap-owned and shared across snapshots, so its address survives both
-  /// Database moves and copies), so *any* EDB write — including one made
-  /// directly through a GetOrCreate reference — advances it in O(1), and
-  /// reading it is a single atomic load. VersionChain compares this
-  /// counter against its head version's fill epoch to detect writes that
-  /// bypassed Commit (quiescent-point test mutations) and resynchronize.
-  uint64_t epoch() const {
-    return epoch_counter_->load(std::memory_order_acquire);
-  }
 
   /// Mutable access to one relation, cloning it first when the slot is
   /// shared with a snapshot (copy-on-write) so the snapshot's view never
@@ -106,8 +94,6 @@ class Database {
  private:
   std::shared_ptr<Universe> universe_;
   std::unordered_map<PredId, std::shared_ptr<Relation>> relations_;
-  std::shared_ptr<std::atomic<uint64_t>> epoch_counter_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 }  // namespace magic

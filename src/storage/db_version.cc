@@ -1,91 +1,40 @@
 #include "storage/db_version.h"
 
+#include <utility>
+
 namespace magic {
 
-VersionChain::VersionChain(const Database& base) : base_(base) {
-  MutexLock lock(resync_mutex_);
-  auto v1 = std::make_shared<const DatabaseVersion>(base_, /*version=*/1,
-                                                    base_.epoch(), &retired_);
-  head_.store(std::move(v1), std::memory_order_release);
+VersionChain::VersionChain(const Database& base) {
+  MutexLock lock(head_mutex_);
+  head_ = std::make_shared<const DatabaseVersion>(base, /*version=*/1,
+                                                  &retired_);
   version_.store(1, std::memory_order_release);
-  head_epoch_.store(base_.epoch(), std::memory_order_release);
   published_.store(1, std::memory_order_release);
 }
 
-uint64_t VersionChain::current_version() const {
-  const uint64_t v = version_.load(std::memory_order_acquire);
-  if (base_.epoch() == head_epoch_.load(std::memory_order_acquire) ||
-      commit_active_.load(std::memory_order_acquire)) {
-    // Steady state, or a mid-flight commit (in which case v — version N of
-    // the N-or-N+1 guarantee — is exactly right to probe at).
-    return v;
-  }
-  // Out-of-band quiescent write: let Pin() publish the resynced snapshot
-  // so the probe (and the fill it may lead to) keys at the fresh version.
-  return Pin()->version();
-}
-
 std::shared_ptr<const DatabaseVersion> VersionChain::Pin() const {
-  std::shared_ptr<const DatabaseVersion> head =
-      head_.load(std::memory_order_acquire);
-  const uint64_t epoch = base_.epoch();
-  if (epoch == head->base_epoch()) return head;
-  // The base moved past the head. During an in-band Commit this is the
-  // benign publication window — the epoch advances before the new head
-  // lands — and serving the current head is exactly the "version N" half
-  // of the N-or-N+1 guarantee: the read linearizes before the write.
-  // (Seeing the bumped epoch synchronizes with Commit's acq_rel bump,
-  // which the release store of the flag happens-before, so the flag load
-  // below cannot miss a mid-flight commit.)
-  if (commit_active_.load(std::memory_order_acquire)) return head;
-  // Out-of-band write at a quiescent point (no Commit ran): publish a
-  // fresh snapshot. The mutex excludes Commit's whole mutate+publish
-  // window, so the base is settled while we copy it; the recheck handles
-  // having lost the race to another resync or a commit that started
-  // while we waited for the lock.
-  MutexLock lock(resync_mutex_);
-  head = head_.load(std::memory_order_acquire);
-  const uint64_t settled = base_.epoch();
-  if (settled == head->base_epoch() ||
-      commit_active_.load(std::memory_order_acquire)) {
-    return head;
-  }
-  auto fresh = std::make_shared<const DatabaseVersion>(
-      base_, head->version() + 1, settled, &retired_);
-  head_.store(fresh, std::memory_order_release);
-  version_.store(fresh->version(), std::memory_order_release);
-  head_epoch_.store(settled, std::memory_order_release);
-  published_.fetch_add(1, std::memory_order_acq_rel);
-  return fresh;
+  MutexLock lock(head_mutex_);
+  return head_;
 }
 
 WriteResult VersionChain::Commit(Database& base, const WriteBatch& batch) {
-  // The flag must be visible before any base mutation: a reader that
-  // observes a mid-commit epoch then takes the "serve current head"
-  // branch instead of snapshotting a half-mutated base.
-  commit_active_.store(true, std::memory_order_release);
-  WriteResult result;
+  WriteResult result = base.ApplyValidated(batch);
+  // No net change: nothing to publish, cached answers stay warm.
+  if (result.relations_mutated == 0) return result;
+  // Net change: build version N+1 outside the lock, then swap it in.
+  // Readers pinned to N keep their snapshot (its relations were cloned
+  // out from under them, never mutated); new pins see N+1 from here on.
+  const uint64_t next_version = version_.load(std::memory_order_acquire) + 1;
+  std::shared_ptr<const DatabaseVersion> retiring =
+      std::make_shared<const DatabaseVersion>(base, next_version, &retired_);
   {
-    MutexLock lock(resync_mutex_);
-    result = base.ApplyValidated(batch);
-    std::shared_ptr<const DatabaseVersion> head =
-        head_.load(std::memory_order_acquire);
-    const uint64_t epoch = base.epoch();
-    if (epoch != head->base_epoch()) {
-      // Net change: publish version N+1. Readers pinned to N keep their
-      // snapshot (its relations were cloned out from under them, never
-      // mutated); new dispatches see N+1 from here on.
-      auto next = std::make_shared<const DatabaseVersion>(
-          base, head->version() + 1, epoch, &retired_);
-      const uint64_t next_version = next->version();
-      head_.store(std::move(next), std::memory_order_release);
-      version_.store(next_version, std::memory_order_release);
-      head_epoch_.store(epoch, std::memory_order_release);
-      published_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // else: no-op batch — nothing to publish, cached answers stay warm.
+    MutexLock lock(head_mutex_);
+    head_.swap(retiring);
+    version_.store(next_version, std::memory_order_release);
   }
-  commit_active_.store(false, std::memory_order_release);
+  published_.fetch_add(1, std::memory_order_acq_rel);
+  // `retiring` now holds the old head. If no reader pins it, dropping it
+  // here frees the relations only it still shared — outside the lock.
   return result;
 }
 

@@ -12,21 +12,18 @@ namespace magic {
 
 /// One immutable published database version. Holds a structural-sharing
 /// Database snapshot (a map of shared_ptr<Relation> slots — relations are
-/// shared with the base until the base copy-on-writes them), the version
-/// number readers and the AnswerCache key by, and the base epoch the
-/// snapshot was taken at. Readers pin one of these for a whole evaluation;
-/// nothing in it ever mutates, so no read-side lock exists. Retirement is
-/// the shared_ptr refcount itself — when the last pin (or the chain head)
-/// drops, the destructor reports the retirement and the relations the
-/// snapshot was the last owner of are freed.
+/// shared with the base until the base copy-on-writes them) and the
+/// version number readers and the AnswerCache key by. Readers pin one of
+/// these for a whole evaluation; nothing in it ever mutates, so no
+/// read-side lock exists. Retirement is the shared_ptr refcount itself —
+/// when the last pin (or the chain head) drops, the destructor reports the
+/// retirement and the relations the snapshot was the last owner of are
+/// freed.
 class DatabaseVersion {
  public:
   DatabaseVersion(const Database& snapshot, uint64_t version,
-                  uint64_t base_epoch, std::atomic<uint64_t>* retired)
-      : db_(snapshot),
-        version_(version),
-        base_epoch_(base_epoch),
-        retired_(retired) {}
+                  std::atomic<uint64_t>* retired)
+      : db_(snapshot), version_(version), retired_(retired) {}
   ~DatabaseVersion() {
     if (retired_ != nullptr) {
       retired_->fetch_add(1, std::memory_order_acq_rel);
@@ -37,69 +34,50 @@ class DatabaseVersion {
 
   const Database& db() const { return db_; }
   uint64_t version() const { return version_; }
-  /// Base Database::epoch() at snapshot time; the chain compares this
-  /// against the live counter to detect out-of-band mutation.
-  uint64_t base_epoch() const { return base_epoch_; }
 
  private:
   const Database db_;
   const uint64_t version_;
-  const uint64_t base_epoch_;
   std::atomic<uint64_t>* const retired_;
 };
 
-/// The MVCC spine: an atomically published chain of DatabaseVersions over
-/// one mutable base Database.
+/// The MVCC spine: the published chain of DatabaseVersions over one base
+/// Database that only Commit mutates.
 ///
-///   * Readers call Pin() at dispatch — one atomic shared_ptr load on the
-///     steady state — and evaluate against the pinned version's Database
-///     for as long as they like. A pin never blocks a writer and a writer
-///     never invalidates a pin.
+///   * Readers call Pin() at dispatch — a shared_ptr copy under an
+///     uncontended leaf mutex — and evaluate against the pinned version's
+///     Database for as long as they like. A pin never waits for a commit's
+///     apply and a commit never invalidates a pin.
 ///   * Writers call Commit(): the batch is applied to the base (shared
 ///     relations are cloned before mutation, so every pinned snapshot
-///     keeps its exact tuple sets), and iff the base net-changed, version
-///     N+1 is published with a single release store. No drain, no waiting
-///     on in-flight fixpoints; a no-op batch publishes nothing and cached
-///     answers stay warm.
-///   * Out-of-band writes (test code mutating the base directly at a
-///     quiescent point, no Commit involved) are detected by comparing the
-///     base epoch against the head's fill epoch; the next Pin()
-///     resynchronizes by publishing a fresh snapshot under resync_mutex_.
-///
-/// The commit/publish protocol and why a reader can never observe a torn
-/// version: Commit sets `commit_active_` (release) BEFORE mutating the
-/// base and clears it AFTER publishing the new head. A reader whose
-/// epoch check fails therefore distinguishes two cases: if the flag is
-/// set, a commit is mid-flight and the current head — version N of the
-/// N-or-N+1 guarantee — is returned untouched (the read linearizes before
-/// the write); if the flag is clear, the mutation is complete (epoch
-/// bumps happen-before the flag transitions) and the resync path takes
-/// resync_mutex_ — which Commit holds across its whole mutate+publish
-/// window — so the snapshot it copies is always of a fully settled base.
+///     keeps its exact tuple sets), and iff the WriteResult reports a
+///     net-mutated relation, version N+1 is built off to the side and
+///     swapped in as the head. No drain, no waiting on in-flight
+///     fixpoints; a no-op batch publishes nothing and cached answers stay
+///     warm. A pin concurrent with a commit sees version N or N+1, never
+///     a torn mix, because the base is only ever snapshotted by the
+///     committing writer itself.
 class VersionChain {
  public:
-  /// Publishes version 1 as a snapshot of `base` now. The base must
-  /// outlive the chain; mutations after construction must go through
-  /// Commit (or be quiescent-point writes per the contract above).
+  /// Publishes version 1 as a snapshot of `base` now. From then on the
+  /// base may change only through Commit.
   explicit VersionChain(const Database& base);
 
-  /// The current version for this evaluation: one acquire load, plus an
-  /// epoch cross-check that triggers resync only after out-of-band writes.
-  std::shared_ptr<const DatabaseVersion> Pin() const;
+  /// The current head version for this evaluation.
+  std::shared_ptr<const DatabaseVersion> Pin() const EXCLUDES(head_mutex_);
 
-  /// Current version number for the warm-hit inline probe: two plain
-  /// atomic loads on the steady state (the libstdc++ atomic<shared_ptr>
-  /// load takes a spinlock, so the hot path avoids pinning). Performs the
-  /// same epoch cross-check as Pin() so a cache probe after an
-  /// out-of-band quiescent write keys at the resynced version, never the
-  /// stale one.
-  uint64_t current_version() const;
+  /// Current version number for the warm-hit inline probe: one atomic
+  /// load, no pin.
+  uint64_t current_version() const {
+    return version_.load(std::memory_order_acquire);
+  }
 
   /// Applies a pre-validated batch to `base` (which must be the base this
-  /// chain was constructed over) and publishes the next version iff the
-  /// batch net-changed it. The caller serializes Commit calls
+  /// chain was constructed over) and publishes the next version iff
+  /// `relations_mutated > 0`. The caller serializes Commit calls
   /// (QueryService's FIFO ticket does); concurrent Pin()s need nothing.
-  WriteResult Commit(Database& base, const WriteBatch& batch);
+  WriteResult Commit(Database& base, const WriteBatch& batch)
+      EXCLUDES(head_mutex_);
 
   /// Versions published so far, including the constructor's version 1.
   uint64_t versions_published() const {
@@ -116,20 +94,16 @@ class VersionChain {
   }
 
  private:
-  const Database& base_;
   /// Retirement counter, written from DatabaseVersion destructors; must
   /// outlive head_ (declared first => destroyed last).
-  mutable std::atomic<uint64_t> retired_{0};
-  mutable std::atomic<uint64_t> published_{0};
-  mutable std::atomic<uint64_t> version_{0};
-  /// Mirror of head_->base_epoch() readable without loading the head
-  /// shared_ptr; lets current_version() run the Pin() epoch cross-check
-  /// with plain atomics.
-  mutable std::atomic<uint64_t> head_epoch_{0};
-  std::atomic<bool> commit_active_{false};
-  /// Serializes resync snapshots against the Commit mutate+publish window.
-  mutable Mutex resync_mutex_{lock_rank::kVersionResync};
-  mutable std::atomic<std::shared_ptr<const DatabaseVersion>> head_;
+  std::atomic<uint64_t> retired_{0};
+  std::atomic<uint64_t> published_{0};
+  /// head_->version(), readable without the mutex.
+  std::atomic<uint64_t> version_{0};
+  /// Guards only the head pointer: held for a pointer copy or swap, never
+  /// across an apply, a snapshot build, or a version's destruction.
+  mutable Mutex head_mutex_;
+  std::shared_ptr<const DatabaseVersion> head_ GUARDED_BY(head_mutex_);
 };
 
 }  // namespace magic

@@ -18,8 +18,6 @@ constexpr size_t kMinSlots = 16;
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
-      epoch_(other.epoch_.load(std::memory_order_acquire)),
-      aggregate_epoch_(other.aggregate_epoch_),
       zero_ary_count_(other.zero_ary_count_),
       slots_(other.slots_),
       slot_shift_(other.slot_shift_) {
@@ -123,7 +121,6 @@ bool Relation::Insert(std::span<const TermId> tuple) {
   if (arity_ == 0) {
     if (zero_ary_count_ > 0) return false;
     zero_ary_count_ = 1;
-    BumpEpoch();
     return true;
   }
   // Grow first, so the table stays at most 3/4 full with the new row in
@@ -134,7 +131,6 @@ bool Relation::Insert(std::span<const TermId> tuple) {
   const uint32_t row = CheckedRowId(size());
   data_.insert(data_.end(), tuple.begin(), tuple.end());
   slots_[slot] = row + 1;
-  BumpEpoch();
   return true;
 }
 
@@ -143,7 +139,6 @@ bool Relation::Retract(std::span<const TermId> tuple) {
   if (arity_ == 0) {
     if (zero_ary_count_ == 0) return false;
     zero_ary_count_ = 0;
-    BumpEpoch();
     return true;
   }
   if (slots_.empty()) return false;
@@ -175,12 +170,11 @@ bool Relation::Retract(std::span<const TermId> tuple) {
       index->rows_built.store(kIndexInvalidated, std::memory_order_release);
     }
   }
-  BumpEpoch();
   return true;
 }
 
 void Relation::Clear() {
-  if (size() == 0) return;  // tuple set unchanged: no spurious invalidation
+  if (size() == 0) return;  // already empty: keep the built indices warm
   data_.clear();
   zero_ary_count_ = 0;
   std::fill(slots_.begin(), slots_.end(), 0);
@@ -192,7 +186,6 @@ void Relation::Clear() {
   index_table_.store(nullptr, std::memory_order_release);
   indices_.clear();
   table_owner_.clear();
-  BumpEpoch();
 }
 
 void Relation::RebuildIndexes() {

@@ -66,12 +66,12 @@ class Relation {
 
   /// Copy-on-write clone: copies the rows and the dedup table as two flat
   /// arrays (one allocation and one memcpy each, whatever the row count;
-  /// the row array keeps the source's capacity), the epoch value, and
-  /// every per-mask index the source has built, buckets and `rows_built`
-  /// watermark included, and publishes them at once; an index is two flat
-  /// arrays as well. A writer that only appends to the clone therefore
-  /// extends each index from its watermark (RebuildIndexes) instead of
-  /// re-indexing every row. An index a retract has invalidated is carried as an empty one
+  /// the row array keeps the source's capacity) and every per-mask index
+  /// the source has built, buckets and `rows_built` watermark included,
+  /// and publishes them at once; an index is two flat arrays as well. A
+  /// writer that only appends to the clone therefore extends each index
+  /// from its watermark (RebuildIndexes) instead of re-indexing every row.
+  /// An index a retract has invalidated is carried as an empty one
   /// (rows_built = 0), rebuilt from row 0 on the next RebuildIndexes or
   /// probe. Safe to call while other threads probe the SOURCE (its indices
   /// are read under its mutex); the clone itself is invisible to them
@@ -82,63 +82,11 @@ class Relation {
   uint32_t arity() const { return arity_; }
   size_t size() const { return arity_ == 0 ? zero_ary_count_ : data_.size() / arity_; }
 
-  /// Monotonically increasing mutation epoch: bumped by every mutation that
-  /// changes the tuple set (an Insert of a new tuple, a Retract of a
-  /// present one, a Clear of a non-empty relation), never by a no-op
-  /// mutation (duplicate insert, retract of an absent tuple, clear when
-  /// already empty) or by reads. Cross-query caches key their entries by
-  /// the epoch observed at fill time, so any write makes stale entries
-  /// unreachable without a flush — and a no-op write spuriously
-  /// invalidating every entry would be a bug, which is why the no-op cases
-  /// are epoch-silent. Reading the epoch is always safe; the writes it
-  /// observes follow the class's mutation contract (exclusive access), so
-  /// an epoch read racing a write is the caller's existing bug, not a new
-  /// one.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// RAII epoch deferral for batch application: while one is alive, the
-  /// relation's mutations record that the tuple set changed instead of
-  /// bumping the epoch per call, and the destructor advances the epoch
-  /// exactly once iff any mutation occurred. This is how an applied
-  /// WriteBatch bumps each mutated relation's epoch once, not once per
-  /// tuple. Requires the same exclusive access as the mutations it wraps;
-  /// batches must not nest.
-  class EpochBatch {
-   public:
-    explicit EpochBatch(Relation& rel) : rel_(rel) {
-      rel_.epoch_deferred_ = true;
-      rel_.deferred_dirty_ = false;
-    }
-    ~EpochBatch() {
-      rel_.epoch_deferred_ = false;
-      if (rel_.deferred_dirty_) rel_.BumpEpoch();
-    }
-    EpochBatch(const EpochBatch&) = delete;
-    EpochBatch& operator=(const EpochBatch&) = delete;
-
-    /// Cancels the owed bump. For the caller that can prove the batch's
-    /// NET effect on the tuple set is zero (every transient change was
-    /// undone within the batch — e.g. an insert of an absent tuple
-    /// followed by its retract): readers can never observe intermediate
-    /// states (the batch runs under exclusive access), so to them no
-    /// mutation happened and no invalidation is owed.
-    void DiscardPendingBump() { rel_.deferred_dirty_ = false; }
-
-   private:
-    Relation& rel_;
-  };
-
-  /// Mirrors every epoch bump into `counter` (Database's O(1) aggregate
-  /// epoch). The counter must outlive the relation; pass null to unbind.
-  void BindEpochCounter(std::atomic<uint64_t>* counter) {
-    aggregate_epoch_ = counter;
-  }
-
   /// Inserts a tuple; returns true if it was new.
   bool Insert(std::span<const TermId> tuple);
 
-  /// Removes one tuple; returns true if it was present (and bumps the
-  /// epoch), false for an absent tuple (no epoch movement). Removal is
+  /// Removes one tuple; returns true if it was present, false (and no
+  /// change) for an absent tuple. Removal is
   /// swap-with-last (row order is not semantic at rest), so the call is
   /// O(arity + probe chain) — a batch of K retracts costs O(K), plus one
   /// index rebuild per relation afterwards: retraction breaks the
@@ -148,9 +96,8 @@ class Relation {
   bool Retract(std::span<const TermId> tuple);
 
   /// Removes every tuple (and all indices). A no-op on an already-empty
-  /// relation — the tuple set is unchanged, so the mutation epoch must not
-  /// move (a spurious bump would invalidate every cached answer for no
-  /// reason). Requires exclusive access, like Insert.
+  /// relation, whose built indices stay warm. Requires exclusive access,
+  /// like Insert.
   void Clear();
 
   /// Rebuilds every previously-built per-mask index up to the current row
@@ -323,26 +270,7 @@ class Relation {
     return true;
   }
 
-  /// Bumps the mutation epoch (and the bound aggregate, if any); under an
-  /// EpochBatch it only records that a bump is owed.
-  void BumpEpoch() {
-    if (epoch_deferred_) {
-      deferred_dirty_ = true;
-      return;
-    }
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-    if (aggregate_epoch_ != nullptr) {
-      aggregate_epoch_->fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-
   uint32_t arity_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t>* aggregate_epoch_ = nullptr;
-  /// EpochBatch state; plain bools are fine because mutation (and so
-  /// deferral) already requires exclusive access.
-  bool epoch_deferred_ = false;
-  bool deferred_dirty_ = false;
   std::vector<TermId> data_;
   size_t zero_ary_count_ = 0;  // 0-ary relations hold at most one tuple
   /// Dedup table: row + 1 per occupied slot, 0 when empty (see the class

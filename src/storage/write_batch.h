@@ -12,12 +12,12 @@
 namespace magic {
 
 /// An ordered group of EDB mutations — inserts, retracts, and per-predicate
-/// clears — applied as one unit at a quiescent point. The batch itself is a
-/// plain value: building one performs no validation and touches no storage,
-/// so batches can be assembled on any thread and shipped to the writer.
+/// clears — applied as one unit. The batch itself is a plain value:
+/// building one performs no validation and touches no storage, so batches
+/// can be assembled on any thread and shipped to the writer.
 ///
-/// Application (Database::Apply, or QueryService::ApplyWrites for the
-/// in-band path) is atomic with respect to readers: either the whole batch
+/// Application (Database::Apply, or QueryService::ApplyWrites for a
+/// served database) is atomic with respect to readers: either the whole batch
 /// is visible or none of it. Ops apply in insertion order, so a batch may
 /// retract a tuple it inserted earlier (net no-op) or re-insert after a
 /// clear. Set semantics make most orders commute; order only matters
@@ -85,9 +85,11 @@ Status CheckFrozenPredicates(const Universe& u, const WriteBatch& batch,
                              size_t frozen_preds);
 
 /// What one applied batch changed. `relations_mutated` counts relations
-/// whose tuple set actually changed (each had its mutation epoch bumped
-/// exactly once); a duplicate-only batch reports zero everywhere and moves
-/// no epoch, so warm cache entries stay live.
+/// whose tuple set NET-changed, and it alone decides publication:
+/// VersionChain::Commit publishes a new version iff it is nonzero. A
+/// duplicate-only or net-zero batch reports zero, publishes nothing, and
+/// leaves warm cache entries live; its `inserted`/`retracted`/`cleared`
+/// still count the ops that ran.
 struct WriteResult {
   size_t inserted = 0;   // tuples that were new
   size_t retracted = 0;  // tuples that were present

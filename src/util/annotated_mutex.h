@@ -31,19 +31,19 @@
 ///      (Release/RelWithDebInfo), so the serving hot path pays nothing.
 ///
 /// The rank order encodes the ROADMAP invariant directly. Readers take no
-/// service-wide lock at all (they pin an MVCC database version with one
-/// atomic load); what remains ranked is
+/// service-wide lock at all (they pin an MVCC database version under the
+/// version chain's leaf mutex); what remains ranked is
 ///
 ///   sessions (60) -> inflight (200) -> form (300)
-///     -> commit (340) -> version-resync (360) || data plane (>= 400)
+///     -> commit (340) || data plane (>= 400)
 ///
 /// with two refinements the prose contract always had but nothing
 /// enforced:
 ///
 ///   * "The write path takes no service-tier lock" — the commit tier
-///     (kCommit, kVersionResync) ranks ABOVE inflight and form, so a
-///     writer that tried to touch dispatch state while holding its commit
-///     ticket mutex would abort by rank descent. SharedMutex additionally
+///     (kCommit) ranks ABOVE inflight and form, so a writer that tried to
+///     touch dispatch state while holding its commit ticket mutex would
+///     abort by rank descent. SharedMutex additionally
 ///     supports an exclusive-nest floor (acquisitions below the floor
 ///     abort while the mutex is held exclusively) for seams that need a
 ///     hard tier wall; the feature is rank-table-independent and covered
@@ -60,13 +60,12 @@ namespace lock_rank {
 inline constexpr int kServerSessions = 60;  // net::MagicServer session map
 inline constexpr int kInflight = 200;       // QueryService::inflight_mutex_
 inline constexpr int kForm = 300;           // QueryService::form_mutex_
-/// The MVCC write tier: the FIFO commit ticket lock and the version
-/// chain's resync lock. Both rank above the dispatch tier (a writer never
-/// touches inflight/form state) and below the data plane (a committing
-/// writer clones relations and rebuilds their indices, so it takes
-/// kRelationIndex and symbol-table locks underneath).
+/// The MVCC write tier: the FIFO commit ticket lock. It ranks above the
+/// dispatch tier (a writer never touches inflight/form state) and below
+/// the data plane (a committing writer clones relations and rebuilds their
+/// indices, so it takes kRelationIndex and symbol-table locks underneath).
+/// The version chain's head pointer sits behind a kLeaf mutex.
 inline constexpr int kCommit = 340;         // QueryService::commit_mutex_
-inline constexpr int kVersionResync = 360;  // VersionChain::resync_mutex_
 /// SharedMutex exclusive-nest floor boundary: a seam constructed with this
 /// floor confines its exclusive holder to the data plane (>= 400). No
 /// production mutex currently uses it — the MVCC write path has no

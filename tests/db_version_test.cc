@@ -1,6 +1,7 @@
 // The MVCC spine (storage/db_version.h): pinned snapshots are immutable
-// under commits (copy-on-write isolates them), no-op commits publish
-// nothing, out-of-band quiescent writes resync on the next pin, versions
+// under commits (copy-on-write isolates them), a commit publishes one
+// version iff its batch net-changed some relation (no-op, duplicate-only
+// and empty-clear batches publish nothing, reads never publish), versions
 // retire when their last pin drops, and — the property the whole design
 // exists for — concurrent readers pinned mid-write see exactly version N
 // or N+1, never a torn mix. Run under TSan/ASan in CI.
@@ -69,22 +70,118 @@ TEST(DbVersionTest, NoOpCommitPublishesNothing) {
   EXPECT_EQ(chain.current_version(), 1u);
 }
 
-TEST(DbVersionTest, OutOfBandQuiescentWriteResyncsOnPin) {
+TEST(DbVersionTest, ManyMutationsOfOneRelationPublishOneVersion) {
   Workload w = MakeAncestorChain(4);
   Universe& u = *w.universe;
   PredId par = ParPred(w);
   VersionChain chain(w.db);
-  EXPECT_EQ(chain.current_version(), 1u);
+  const TermId c0 = u.Constant("c0");
 
-  // A direct base mutation, no Commit involved (the documented
-  // quiescent-point contract): the next pin publishes a fresh snapshot.
-  ASSERT_TRUE(w.db.AddFact(par, {u.Constant("c3"), u.Constant("c4")}).ok());
-  EXPECT_EQ(chain.current_version(), 2u);  // probe path resyncs too
+  // Five new tuples and a retract of one of them: one relation mutated,
+  // one version for the whole batch.
+  WriteBatch batch;
+  for (int i = 1; i <= 5; ++i) {
+    batch.Insert(par, {c0, u.Constant("m" + std::to_string(i))});
+  }
+  batch.Retract(par, {c0, u.Constant("m3")});
+  WriteResult result = chain.Commit(w.db, batch);
+  EXPECT_EQ(result.inserted, 5u);
+  EXPECT_EQ(result.retracted, 1u);
+  EXPECT_EQ(result.relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 2u);
+  EXPECT_EQ(chain.Pin()->db().FactCount(par), 7u);
+
+  WriteBatch noop;
+  noop.Insert(par, {c0, u.Constant("m1")});  // duplicate
+  EXPECT_EQ(chain.Commit(w.db, noop).relations_mutated, 0u);
+  EXPECT_EQ(chain.versions_published(), 2u);  // nothing changed
+
+  // The next net-changing batch publishes again.
+  WriteBatch one;
+  one.Insert(par, {c0, u.Constant("m9")});
+  EXPECT_EQ(chain.Commit(w.db, one).relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 3u);
+  EXPECT_EQ(chain.current_version(), 3u);
+}
+
+TEST(DbVersionTest, DuplicateFactsPublishNothing) {
+  Workload w = MakeAncestorChain(3);  // par: c0 -> c1 -> c2
+  Universe& u = *w.universe;
+  PredId par = ParPred(w);
+
+  // Building the base: a duplicate AddFact is OK and adds nothing, and a
+  // rejected fact (wrong arity) mutates nothing.
+  ASSERT_TRUE(w.db.AddFact(par, {u.Constant("c0"), u.Constant("c1")}).ok());
+  EXPECT_EQ(w.db.FactCount(par), 2u);
+  EXPECT_FALSE(w.db.AddFact(par, {u.Constant("c0")}).ok());
+  EXPECT_EQ(w.db.FactCount(par), 2u);
+
+  // Serving it: a duplicate insert publishes no version, a new one does.
+  VersionChain chain(w.db);
+  WriteBatch dup;
+  dup.Insert(par, {u.Constant("c1"), u.Constant("c2")});
+  WriteResult quiet = chain.Commit(w.db, dup);
+  EXPECT_EQ(quiet.inserted, 0u);
+  EXPECT_EQ(quiet.relations_mutated, 0u);
+  EXPECT_EQ(chain.versions_published(), 1u);
+
+  WriteBatch fresh;
+  fresh.Insert(par, {u.Constant("c2"), u.Constant("c3")});
+  WriteResult added = chain.Commit(w.db, fresh);
+  EXPECT_EQ(added.inserted, 1u);
+  EXPECT_EQ(added.relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 2u);
+  EXPECT_EQ(chain.Pin()->db().FactCount(par), 3u);
+}
+
+TEST(DbVersionTest, ReadsPublishNothing) {
+  Workload w = MakeAncestorChain(4);
+  PredId par = ParPred(w);
+  VersionChain chain(w.db);
+
   auto pinned = chain.Pin();
-  EXPECT_EQ(pinned->version(), 2u);
-  EXPECT_EQ(pinned->db().Find(par)->size(), 4u);
-  // Settled now: repeated pins publish nothing further.
-  EXPECT_EQ(chain.Pin()->version(), 2u);
+  const Database& db = pinned->db();
+  ASSERT_NE(db.Find(par), nullptr);
+  EXPECT_EQ(db.FactCount(par), 3u);
+  EXPECT_EQ(db.TotalFacts(), w.db.TotalFacts());
+  (void)db.relations();
+  std::vector<uint32_t> rows;
+  const std::vector<TermId> key = {w.universe->Constant("c0")};
+  db.Find(par)->Probe(/*mask=*/0b01, key, 0, 3, &rows);  // builds an index
+  EXPECT_EQ(rows.size(), 1u);
+
+  // Reads (pins included) never publish: the head is the same object.
+  EXPECT_EQ(chain.Pin(), pinned);
+  EXPECT_EQ(chain.current_version(), 1u);
+  EXPECT_EQ(chain.versions_published(), 1u);
+}
+
+TEST(DbVersionTest, ClearPublishesOnceAndEmptyClearsPublishNothing) {
+  Workload w = MakeAncestorChain(4);
+  Universe& u = *w.universe;
+  PredId par = ParPred(w);
+  VersionChain chain(w.db);
+
+  WriteBatch wipe;
+  wipe.Clear(par);
+  WriteResult wiped = chain.Commit(w.db, wipe);
+  EXPECT_EQ(wiped.cleared, 1u);
+  EXPECT_EQ(wiped.relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 2u);
+  EXPECT_EQ(chain.Pin()->db().FactCount(par), 0u);
+
+  // Clearing the now-empty relation is a no-op.
+  WriteResult rewiped = chain.Commit(w.db, wipe);
+  EXPECT_EQ(rewiped.cleared, 0u);
+  EXPECT_EQ(rewiped.relations_mutated, 0u);
+  EXPECT_EQ(chain.versions_published(), 2u);
+
+  // So is clearing a never-created relation (absent == empty).
+  PredId anc = *u.predicates().Find(*u.symbols().Find("anc"), 2);
+  ASSERT_EQ(w.db.Find(anc), nullptr);
+  WriteBatch absent;
+  absent.Clear(anc);
+  EXPECT_EQ(chain.Commit(w.db, absent).relations_mutated, 0u);
   EXPECT_EQ(chain.versions_published(), 2u);
 }
 

@@ -60,13 +60,6 @@ QueryRequest MakeRequest(const Query& query) {
   form.Lock();    // control plane under the commit tier: forbidden
 }
 
-[[maybe_unused]] void LockInflightUnderResync() NO_THREAD_SAFETY_ANALYSIS {
-  Mutex resync(lock_rank::kVersionResync);
-  Mutex inflight(lock_rank::kInflight);
-  resync.Lock();  // the version chain's publish window
-  inflight.Lock();
-}
-
 [[maybe_unused]] void LockBelowFloorUnderExclusiveSeam()
     NO_THREAD_SAFETY_ANALYSIS {
   // No production mutex carries an exclusive-nest floor today (the write
@@ -106,7 +99,6 @@ TEST(LockRankDeathTest, RecursiveAcquisitionAborts) {
 TEST(LockRankDeathTest, ControlPlaneUnderCommitTierAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(LockFormUnderCommit(), "lock-rank violation");
-  EXPECT_DEATH(LockInflightUnderResync(), "lock-rank violation");
 }
 
 TEST(LockRankDeathTest, BelowFloorUnderExclusiveSeamAborts) {
@@ -162,17 +154,14 @@ TEST(LockRankTest, WorkerOrderIsSilent) {
 }
 
 TEST(LockRankTest, CommitTierMayTakeDataPlaneLocks) {
-  // ApplyWrites holds its FIFO ticket lock, Commit holds the version
-  // chain's resync mutex across the mutate+publish window, and the
-  // storage layer's table/index mutexes nest inside both — the whole
-  // writer chain must stay legal.
+  // ApplyWrites holds its FIFO ticket lock, and the storage layer's
+  // table/index mutexes nest inside it — the whole writer chain must stay
+  // legal.
   Mutex commit(lock_rank::kCommit);
-  Mutex resync(lock_rank::kVersionResync);
   SharedMutex symbols(lock_rank::kSymbolRoot);
   Mutex index(lock_rank::kRelationIndex);
   {
     MutexLock ticket(commit);
-    MutexLock publish(resync);
     ReaderMutexLock names(symbols);
     MutexLock rebuild(index);
   }

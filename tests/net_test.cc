@@ -224,7 +224,7 @@ TEST_F(NetServerTest, PrepareQueryStreamApplyStatsCloseRoundTrip) {
   EXPECT_NE(streamed->head.find("rows=8"), std::string::npos);
 
   // APPLY extends the chain; the very next read sees the new row — the
-  // write seam's epoch fencing holds over the wire too.
+  // write seam's publish-before-return holds over the wire too.
   auto applied = client.Call("APPLY\n+par(c11, c12).");
   ASSERT_TRUE(applied.ok());
   ASSERT_EQ(applied->code, WireCode::kOk) << applied->head;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "storage/write_batch.h"
 #include "workload/generators.h"
 
 namespace magic {
@@ -677,8 +678,9 @@ TEST(QueryServiceTest, RepeatedSeedServesFromAnswerCache) {
 TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
   // The issue's invalidation bar: an EDB write between two identical
   // queries must yield the updated answer — the cache may never serve the
-  // pre-write snapshot. Writes happen at quiescent points (the documented
-  // contract); the post-write reads hammer from 8 threads under TSan.
+  // pre-write snapshot. Writes go through ApplyWrites (the only way to
+  // change a served database); the post-write reads hammer from 8 threads
+  // under TSan.
   Workload w = MakeAncestorChain(8);  // c0 -> ... -> c7
   Universe& u = *w.universe;
   PredId par = *u.predicates().Find(*u.symbols().Find("par"), 2);
@@ -696,8 +698,12 @@ TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
   QueryAnswer warm = service.Answer(*handle, seed);
   EXPECT_TRUE(warm.from_cache);  // the pre-write entry is live
 
-  // Quiescent write: extend the chain by one edge.
-  ASSERT_TRUE(w.db.AddFact(par, {u.Constant("c7"), u.Constant("c8")}).ok());
+  // Extend the chain by one edge.
+  WriteBatch extend;
+  extend.Insert(par, {u.Constant("c7"), u.Constant("c8")});
+  Result<WriteResult> extended = service.ApplyWrites(extend);
+  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+  ASSERT_EQ(extended->inserted, 1u);
 
   QueryAnswer updated = service.Answer(*handle, seed);
   ASSERT_TRUE(updated.status.ok());
@@ -723,7 +729,11 @@ TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
 
   // A truncating write (Clear) invalidates too: the whole derived set is
   // gone with the base facts.
-  w.db.Clear(par);
+  WriteBatch wipe;
+  wipe.Clear(par);
+  Result<WriteResult> wiped = service.ApplyWrites(wipe);
+  ASSERT_TRUE(wiped.ok()) << wiped.status().ToString();
+  ASSERT_EQ(wiped->cleared, 1u);
   QueryAnswer empty = service.Answer(*handle, seed);
   ASSERT_TRUE(empty.status.ok());
   EXPECT_FALSE(empty.from_cache);

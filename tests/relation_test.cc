@@ -32,6 +32,10 @@ struct RelationTestPeer {
   static size_t SlotOf(const Relation& rel, const std::vector<TermId>& tuple) {
     return rel.FindSlot(tuple, HashRange(tuple.begin(), tuple.end()));
   }
+  static size_t BuiltIndexes(const Relation& rel) {
+    MutexLock lock(rel.index_mutex_);
+    return rel.indices_.size();
+  }
 };
 
 namespace {
@@ -176,6 +180,113 @@ TEST(RelationTest, ZeroAryRelation) {
   EXPECT_FALSE(rel.Insert(std::vector<TermId>{}));
   EXPECT_EQ(rel.size(), 1u);
   EXPECT_TRUE(rel.Contains(std::vector<TermId>{}));
+}
+
+TEST(RelationTest, InsertReportsNewTuplesOnly) {
+  Relation rel(2);
+  std::vector<TermId> t1 = {1, 2};
+  EXPECT_TRUE(rel.Insert(t1));
+  EXPECT_EQ(rel.size(), 1u);
+
+  // Duplicate insert: tuple set unchanged, and the call says so.
+  EXPECT_FALSE(rel.Insert(t1));
+  EXPECT_EQ(rel.size(), 1u);
+
+  std::vector<TermId> t2 = {1, 3};
+  EXPECT_TRUE(rel.Insert(t2));
+  EXPECT_EQ(rel.size(), 2u);
+}
+
+TEST(RelationTest, ReadsLeaveContentUnchanged) {
+  Relation rel(2);
+  std::vector<TermId> t1 = {4, 5};
+  ASSERT_TRUE(rel.Insert(t1));
+
+  EXPECT_TRUE(rel.Contains(t1));
+  EXPECT_EQ(rel.FindRow(t1), 0u);
+  std::vector<uint32_t> rows;
+  std::vector<TermId> key = {4};
+  rel.Probe(/*mask=*/0b01, key, 0, rel.size(), &rows);  // builds an index
+  EXPECT_EQ(rows.size(), 1u);
+  rel.Probe(0b01, key, 0, rel.size(), &rows);  // indexed fast path
+
+  EXPECT_EQ(rel.size(), 1u);
+  EXPECT_EQ(std::vector<TermId>(rel.Row(0).begin(), rel.Row(0).end()), t1);
+  EXPECT_FALSE(rel.Insert(t1));  // still present, nothing else added
+}
+
+TEST(RelationTest, ClearOnEmptyRelationIsANoOp) {
+  // Clearing an already-empty relation changes nothing — not even its
+  // built indices, which stay warm. A non-empty clear drops rows and
+  // indices; a repeat clear is a no-op again.
+  Relation rel(1);
+  std::vector<uint32_t> rows;
+  std::vector<TermId> t = {7};
+  rel.Probe(0b1, t, 0, rel.size(), &rows);  // index built on the empty rel
+  ASSERT_EQ(RelationTestPeer::BuiltIndexes(rel), 1u);
+  rel.Clear();
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_EQ(RelationTestPeer::BuiltIndexes(rel), 1u);
+
+  ASSERT_TRUE(rel.Insert(t));
+  rel.Clear();  // non-empty clear is a real write
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_FALSE(rel.Contains(t));
+  EXPECT_EQ(RelationTestPeer::BuiltIndexes(rel), 0u);
+  rel.Clear();  // repeat clear: still empty
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_TRUE(rel.Insert(t));  // and still usable
+}
+
+TEST(RelationTest, ClearResetsRowsAndIndices) {
+  Relation rel(1);
+  std::vector<TermId> t = {7};
+  ASSERT_TRUE(rel.Insert(t));
+  std::vector<uint32_t> rows;
+  rel.Probe(0b1, t, 0, rel.size(), &rows);
+  ASSERT_EQ(rows.size(), 1u);
+
+  rel.Clear();
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_FALSE(rel.Contains(t));
+
+  // Post-clear state is fully usable: re-insert and probe again (the
+  // cleared indices rebuild from scratch).
+  EXPECT_TRUE(rel.Insert(t));
+  rows.clear();
+  rel.Probe(0b1, t, 0, rel.size(), &rows);
+  EXPECT_EQ(rows.size(), 1u);
+}
+
+TEST(RelationTest, RetractReportsPresentTuplesOnly) {
+  Relation rel(2);
+  std::vector<TermId> t1 = {1, 2};
+  std::vector<TermId> t2 = {3, 4};
+  ASSERT_TRUE(rel.Insert(t1));
+  ASSERT_TRUE(rel.Insert(t2));
+
+  EXPECT_FALSE(rel.Retract(std::vector<TermId>{9, 9}));  // absent: no-op
+  EXPECT_EQ(rel.size(), 2u);
+
+  EXPECT_TRUE(rel.Retract(t1));
+  EXPECT_EQ(rel.size(), 1u);
+  EXPECT_FALSE(rel.Contains(t1));
+  EXPECT_TRUE(rel.Contains(t2));
+
+  EXPECT_FALSE(rel.Retract(t1));  // already gone
+  EXPECT_EQ(rel.size(), 1u);
+}
+
+TEST(RelationTest, ZeroAryInsertReportsOnlyTheFirst) {
+  Relation rel(0);
+  std::vector<TermId> empty;
+  EXPECT_TRUE(rel.Insert(empty));
+  EXPECT_FALSE(rel.Insert(empty));  // at most one 0-ary tuple
+  EXPECT_EQ(rel.size(), 1u);
+  rel.Clear();
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_FALSE(rel.Contains(empty));
+  EXPECT_TRUE(rel.Insert(empty));
 }
 
 TEST(RelationTest, RetractLastRowKeepsOthersFindable) {
@@ -475,7 +586,6 @@ TEST(RelationModelTest, MutatingACloneNeverChangesTheSource) {
   for (size_t r = 0; r < source.size(); ++r) {
     rows_before.emplace_back(source.Row(r).begin(), source.Row(r).end());
   }
-  const uint64_t epoch_before = source.epoch();
 
   Relation clone(source);
   for (TermId i = 0; i < 300; i += 3) clone.Retract(Tuple{i % 17, i});
@@ -493,7 +603,7 @@ TEST(RelationModelTest, MutatingACloneNeverChangesTheSource) {
   std::vector<uint32_t> after;
   source.Probe(0b01, Tuple{5}, 0, source.size(), &after);
   EXPECT_EQ(after, before);
-  EXPECT_EQ(source.epoch(), epoch_before);
+  for (const Tuple& row : rows_before) EXPECT_TRUE(source.Contains(row));
   EXPECT_FALSE(source.Contains(Tuple{5, 350}));
 }
 

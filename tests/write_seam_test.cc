@@ -1,6 +1,7 @@
-// The in-band EDB write path: WriteBatch validation, Database::Apply's
-// epoch discipline (one bump per mutated relation, none for no-op
-// batches), QueryService::ApplyWrites publishing MVCC versions on a live
+// The EDB write path: WriteBatch validation, Database::Apply's net-change
+// accounting (each mutated relation counted once, none for no-op or
+// net-zero batches, so those publish no version),
+// QueryService::ApplyWrites publishing MVCC versions on a live
 // service, retraction correctness against from-scratch evaluation, the
 // 8-thread readers-vs-writer hammer (post-write reads are never stale;
 // in-flight answers are internally consistent — whole batches, never
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "engine/query_service.h"
+#include "storage/db_version.h"
 #include "storage/write_batch.h"
 #include "workload/generators.h"
 
@@ -67,13 +69,13 @@ TEST(WriteSeamTest, WriteBatchValidatesArityAndGroundness) {
   WriteBatch half_bad;
   half_bad.Retract(par, {u.Constant("c0"), u.Constant("c1")});
   half_bad.Insert(par, {u.Constant("c0")});
-  uint64_t before = w.db.epoch();
   EXPECT_FALSE(w.db.Apply(half_bad).ok());
-  EXPECT_EQ(w.db.epoch(), before);
   EXPECT_EQ(w.db.FactCount(par), 3u);
+  EXPECT_TRUE(w.db.Find(par)->Contains(
+      std::vector<TermId>{u.Constant("c0"), u.Constant("c1")}));
 }
 
-TEST(WriteSeamTest, ApplyBumpsEpochOncePerMutatedRelation) {
+TEST(WriteSeamTest, ApplyCountsEachMutatedRelationOnce) {
   Workload w = MakeSameGenNonlinear(3, 2);  // base preds up/flat/down
   Universe& u = *w.universe;
   PredId up = *u.predicates().Find(*u.symbols().Find("up"), 2);
@@ -81,13 +83,12 @@ TEST(WriteSeamTest, ApplyBumpsEpochOncePerMutatedRelation) {
   TermId a = u.Constant("wa");
   TermId b = u.Constant("wb");
   TermId c = u.Constant("wc");
-
-  const uint64_t up_before = w.db.GetOrCreate(up).epoch();
-  const uint64_t flat_before = w.db.GetOrCreate(flat).epoch();
-  const uint64_t db_before = w.db.epoch();
+  VersionChain chain(w.db);
+  const size_t up_before = w.db.FactCount(up);
+  const size_t flat_before = w.db.FactCount(flat);
 
   // Three new tuples into `up`, one into `flat`, plus no-ops sprinkled in:
-  // each mutated relation's epoch moves by exactly one.
+  // each mutated relation counts once, and the batch is one version.
   WriteBatch batch;
   batch.Insert(up, {a, b});
   batch.Insert(up, {b, c});
@@ -95,38 +96,73 @@ TEST(WriteSeamTest, ApplyBumpsEpochOncePerMutatedRelation) {
   batch.Insert(up, {a, c});
   batch.Retract(flat, {a, c});  // absent: no-op
   batch.Insert(flat, {a, c});
-  auto result = w.db.Apply(batch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->inserted, 4u);
-  EXPECT_EQ(result->retracted, 0u);
-  EXPECT_EQ(result->relations_mutated, 2u);
-  EXPECT_EQ(w.db.GetOrCreate(up).epoch(), up_before + 1);
-  EXPECT_EQ(w.db.GetOrCreate(flat).epoch(), flat_before + 1);
-  EXPECT_EQ(w.db.epoch(), db_before + 2);
+  ASSERT_TRUE(batch.Validate(u).ok());
+  WriteResult result = chain.Commit(w.db, batch);
+  EXPECT_EQ(result.inserted, 4u);
+  EXPECT_EQ(result.retracted, 0u);
+  EXPECT_EQ(result.relations_mutated, 2u);
+  EXPECT_EQ(w.db.FactCount(up), up_before + 3);
+  EXPECT_EQ(w.db.FactCount(flat), flat_before + 1);
+  EXPECT_EQ(chain.versions_published(), 2u);
 
-  // A duplicate-only batch mutates nothing and moves no epoch at all.
+  // A duplicate-only batch mutates nothing and publishes nothing.
   WriteBatch noop;
   noop.Insert(up, {a, b});
   noop.Retract(up, {c, a});  // absent
-  auto quiet = w.db.Apply(noop);
-  ASSERT_TRUE(quiet.ok());
-  EXPECT_EQ(quiet->relations_mutated, 0u);
-  EXPECT_EQ(w.db.epoch(), db_before + 2);
+  WriteResult quiet = chain.Commit(w.db, noop);
+  EXPECT_EQ(quiet.relations_mutated, 0u);
+  EXPECT_EQ(chain.versions_published(), 2u);
 
   // A clear of a non-empty relation is one mutation; repeating it on the
-  // now-empty relation is a no-op (the satellite regression, batch form).
+  // now-empty relation is a no-op (batch form of the empty-clear rule).
   WriteBatch wipe;
   wipe.Clear(flat);
-  auto wiped = w.db.Apply(wipe);
-  ASSERT_TRUE(wiped.ok());
-  EXPECT_EQ(wiped->cleared, 1u);
-  EXPECT_EQ(wiped->relations_mutated, 1u);
-  EXPECT_EQ(w.db.epoch(), db_before + 3);
-  auto rewiped = w.db.Apply(wipe);
-  ASSERT_TRUE(rewiped.ok());
-  EXPECT_EQ(rewiped->cleared, 0u);
-  EXPECT_EQ(rewiped->relations_mutated, 0u);
-  EXPECT_EQ(w.db.epoch(), db_before + 3);
+  WriteResult wiped = chain.Commit(w.db, wipe);
+  EXPECT_EQ(wiped.cleared, 1u);
+  EXPECT_EQ(wiped.relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 3u);
+  WriteResult rewiped = chain.Commit(w.db, wipe);
+  EXPECT_EQ(rewiped.cleared, 0u);
+  EXPECT_EQ(rewiped.relations_mutated, 0u);
+  EXPECT_EQ(chain.versions_published(), 3u);
+}
+
+TEST(WriteSeamTest, ClearThenIdenticalReinsertIsNetZero) {
+  // A batch that clears a relation and reinserts exactly the tuples it
+  // held changes nothing: net accounting compares the final tuple set
+  // against the pre-batch one, so no relation counts as mutated, no
+  // version is published, and the base keeps its original relation
+  // object (with its warm indices).
+  Workload w = MakeAncestorChain(3);  // par: c0 -> c1 -> c2
+  Universe& u = *w.universe;
+  PredId par = ParPred(w);
+  const std::vector<TermId> e01 = {u.Constant("c0"), u.Constant("c1")};
+  const std::vector<TermId> e12 = {u.Constant("c1"), u.Constant("c2")};
+  VersionChain chain(w.db);
+  const Relation* original = w.db.Find(par);
+
+  WriteBatch same;
+  same.Clear(par);
+  same.Insert(par, e01);
+  same.Insert(par, e12);
+  WriteResult applied = chain.Commit(w.db, same);
+  EXPECT_EQ(applied.cleared, 1u);  // the clear did run on a non-empty rel
+  EXPECT_EQ(applied.inserted, 2u);
+  EXPECT_EQ(applied.relations_mutated, 0u);  // ...but the net effect is nil
+  EXPECT_EQ(chain.versions_published(), 1u);
+  EXPECT_EQ(w.db.Find(par), original);
+  EXPECT_EQ(w.db.FactCount(par), 2u);
+
+  // Same-size but different content after the clear: a real mutation.
+  WriteBatch different;
+  different.Clear(par);
+  different.Insert(par, e01);
+  different.Insert(par, {u.Constant("c8"), u.Constant("c9")});
+  applied = chain.Commit(w.db, different);
+  EXPECT_EQ(applied.relations_mutated, 1u);
+  EXPECT_EQ(chain.versions_published(), 2u);
+  EXPECT_EQ(chain.Pin()->db().FactCount(par), 2u);
+  EXPECT_FALSE(chain.Pin()->db().Find(par)->Contains(e12));
 }
 
 TEST(WriteSeamTest, ApplyWritesMutatesALiveService) {
@@ -179,9 +215,9 @@ TEST(WriteSeamTest, ApplyWritesMutatesALiveService) {
 }
 
 TEST(WriteSeamTest, DuplicateOnlyBatchKeepsTheCacheWarm) {
-  // Satellite regression at the service level: a batch that does not
-  // change any tuple set must not invalidate warm answers — no epoch
-  // movement, no spurious re-evaluation.
+  // Service-level regression: a batch that does not change any tuple set
+  // must not invalidate warm answers — no new version, no spurious
+  // re-evaluation.
   Workload w = MakeAncestorChain(8);
   Universe& u = *w.universe;
   PredId par = ParPred(w);
@@ -229,20 +265,6 @@ TEST(WriteSeamTest, DuplicateOnlyBatchKeepsTheCacheWarm) {
   QueryAnswer still_warm = service.Answer(*handle, seed);
   EXPECT_TRUE(still_warm.from_cache);
   EXPECT_EQ(still_warm.tuples.size(), 7u);
-}
-
-TEST(WriteSeamTest, ApplyWritesRequiresAMutableDatabase) {
-  Workload w = MakeAncestorChain(4);
-  const Database& frozen = w.db;
-  QueryServiceOptions options;
-  options.num_threads = 1;
-  QueryService service(w.program, frozen, options);
-
-  WriteBatch batch;
-  batch.Clear(ParPred(w));
-  EXPECT_EQ(service.ApplyWrites(batch).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.stats().writes_applied, 0u);
 }
 
 TEST(WriteSeamTest, RetractionMatchesFromScratchEvaluation) {
