@@ -70,6 +70,11 @@ grep -q 'adornment=bf' "$WORK/prepare.head" \
 rows=$(run query "anc(c0, Y)" | wc -l)
 [ "$rows" -eq 3 ] || fail "expected 3 rows before the write, got $rows"
 
+# A repeated variable restricts the answers to the diagonal: the chain is
+# acyclic, so anc(X, X) has none (the six anc pairs are not answers).
+rows=$(run query "anc(X, X)" | wc -l)
+[ "$rows" -eq 0 ] || fail "expected 0 rows for anc(X, X), got $rows"
+
 # APPLY extends the chain; the next read must see the new edge (the new
 # version is published before APPLY replies: no stale cache serve).
 printf '+par(c3, c4).\n' | run apply > /dev/null || fail "apply rejected"

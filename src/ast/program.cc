@@ -88,4 +88,18 @@ std::vector<int> QueryFreePositions(const Universe& u, const Query& query) {
   return result;
 }
 
+std::vector<int> QueryArgPattern(const Universe& u, const Query& query) {
+  const std::vector<TermId>& args = query.goal.args;
+  std::vector<int> result;
+  result.reserve(args.size());
+  for (TermId arg : args) {
+    result.push_back(u.terms().IsGround(arg)
+                         ? kGroundArg
+                         : static_cast<int>(
+                               std::find(args.begin(), args.end(), arg) -
+                               args.begin()));
+  }
+  return result;
+}
+
 }  // namespace magic

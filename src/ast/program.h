@@ -124,6 +124,16 @@ std::vector<TermId> QueryBoundArgs(const Universe& u, const Query& query);
 /// Positions of the query's free (non-ground) arguments.
 std::vector<int> QueryFreePositions(const Universe& u, const Query& query);
 
+/// QueryArgPattern's entry for a ground argument.
+inline constexpr int kGroundArg = -1;
+
+/// The shape of the query's goal, one entry per argument: kGroundArg, or
+/// the index of the first argument holding the same term. anc(X,X) is
+/// {0,0} and anc(X,Y) is {0,1}: a free position whose entry is not its own
+/// index repeats a variable, which restricts the answers to tuples that
+/// agree on both positions.
+std::vector<int> QueryArgPattern(const Universe& u, const Query& query);
+
 }  // namespace magic
 
 #endif  // MAGIC_AST_PROGRAM_H_

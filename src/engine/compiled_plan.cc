@@ -9,23 +9,6 @@ namespace magic {
 
 namespace {
 
-/// True when every goal argument is a distinct plain variable. A repeated
-/// variable (p(X,X)) or a non-ground compound (p(f(X),Y)) also has zero
-/// bound positions, yet restricts the answer set — so "fully free" is a
-/// property of the exemplar's shape, not of bound_arity() == 0.
-bool ComputeFullyFree(const Universe& u, const Query& exemplar,
-                      const std::vector<int>& bound_positions) {
-  if (!bound_positions.empty()) return false;
-  const auto& args = exemplar.goal.args;
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (u.terms().Get(args[i]).kind != TermKind::kVariable) return false;
-    for (size_t j = 0; j < i; ++j) {
-      if (args[j] == args[i]) return false;  // repeated variable
-    }
-  }
-  return true;
-}
-
 /// Pairs the compile-time rule labels with one run's per-rule counters.
 void FillPlanProfile(const std::vector<std::string>& labels,
                      const std::vector<RuleProfile>& profiles,
@@ -109,7 +92,6 @@ Result<std::shared_ptr<const CompiledPlan>> CompiledPlan::Compile(
       plan->bound_positions.push_back(static_cast<int>(i));
     }
   }
-  plan->fully_free = ComputeFullyFree(u, exemplar, plan->bound_positions);
 
   // Print the evaluated program's rules once, at compile time, so the
   // per-request profile path never touches the printer.
@@ -236,17 +218,9 @@ QueryAnswer CompiledPlan::Answer(
       if (hooked) {
         if (!sink) answer.tuples = collector.TakeSorted();
       } else {
-        std::vector<int> free_positions = QueryFreePositions(u, instance);
-        for (const std::vector<TermId>& row :
-             result.QueryAnswers(u, instance, adorned->query_pred)) {
-          std::vector<TermId> tuple;
-          for (int p : free_positions) tuple.push_back(row[p]);
-          answer.tuples.push_back(std::move(tuple));
-        }
-        std::sort(answer.tuples.begin(), answer.tuples.end());
-        answer.tuples.erase(
-            std::unique(answer.tuples.begin(), answer.tuples.end()),
-            answer.tuples.end());
+        auto it = result.answers.find(adorned->query_pred);
+        answer.tuples = ExtractDirectAnswers(
+            u, instance, it == result.answers.end() ? nullptr : &it->second);
       }
       answer.outcome = ClassifyOutcome(result.stop_reason, answer.status);
       FillPlanProfile(rule_labels, result.rule_profiles, &answer);

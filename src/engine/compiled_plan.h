@@ -39,9 +39,6 @@ struct CompiledPlan {
   /// Bound argument positions, ascending; Answer()'s `bound_values` pair up
   /// with these.
   std::vector<int> bound_positions;
-  /// True when every exemplar argument is a distinct plain variable (the
-  /// precondition of the serving layer's subsumption fast path).
-  bool fully_free = false;
   EvalOptions eval_options;
 
   // Exactly one artifact is populated, by strategy family:

@@ -54,22 +54,6 @@ class PreparedQueryForm {
   /// Number of bound positions, i.e. the arity of Answer's `bound_values`.
   size_t bound_arity() const { return plan_->bound_positions.size(); }
 
-  /// The bound argument positions, ascending; `bound_values` pair up with
-  /// these. The complement (the free positions, ascending) is the column
-  /// order of answer tuples — which is what lets a serving layer filter a
-  /// fully-free form's cached answers down to any bound instance.
-  const std::vector<int>& bound_positions() const {
-    return plan_->bound_positions;
-  }
-
-  /// True when every goal argument is a distinct plain variable. Only then
-  /// is the form's answer set the complete relation over all argument
-  /// positions: a repeated variable (p(X,X)) or a non-ground compound
-  /// (p(f(X),Y)) also has zero bound positions, yet restricts the answers
-  /// — so the serving layer's subsumption fast path must check this, not
-  /// just bound_arity() == 0.
-  bool fully_free() const { return plan_->fully_free; }
-
   /// The rewritten program evaluated for every instance (rewriting
   /// strategies only; empty for naive/semi-naive/top-down plans).
   const RewrittenProgram& rewritten() const { return plan_->rewritten; }

@@ -99,13 +99,18 @@ AnswerProjector AnswerProjector::ForRewritten(
   for (uint32_t f = 0; f < rewritten.answer_index_fields; ++f) {
     p.required_.emplace_back(static_cast<int>(f), zero);
   }
-  for (size_t pos = 0; pos < query.goal.args.size(); ++pos) {
+  const std::vector<int> pattern = QueryArgPattern(u, query);
+  for (size_t pos = 0; pos < pattern.size(); ++pos) {
     int col = rewritten.answer_positions[pos];
-    if (u.terms().IsGround(query.goal.args[pos])) {
+    if (pattern[pos] == kGroundArg) {
       // The semijoin optimization may have dropped this bound column.
       if (col >= 0) p.bound_checks_.emplace_back(col, query.goal.args[pos]);
     } else {
       MAGIC_CHECK_MSG(col >= 0, "free query positions are never dropped");
+      if (pattern[pos] != static_cast<int>(pos)) {
+        p.equal_columns_.emplace_back(
+            col, rewritten.answer_positions[pattern[pos]]);
+      }
       p.free_columns_.push_back(col);
     }
   }
@@ -115,12 +120,13 @@ AnswerProjector AnswerProjector::ForRewritten(
 AnswerProjector AnswerProjector::ForDirect(const Universe& u,
                                            const Query& query) {
   AnswerProjector p;
-  for (size_t pos = 0; pos < query.goal.args.size(); ++pos) {
-    if (u.terms().IsGround(query.goal.args[pos])) {
-      p.bound_checks_.emplace_back(static_cast<int>(pos),
-                                   query.goal.args[pos]);
+  const std::vector<int> pattern = QueryArgPattern(u, query);
+  for (int pos = 0; pos < static_cast<int>(pattern.size()); ++pos) {
+    if (pattern[pos] == kGroundArg) {
+      p.bound_checks_.emplace_back(pos, query.goal.args[pos]);
     } else {
-      p.free_columns_.push_back(static_cast<int>(pos));
+      if (pattern[pos] != pos) p.equal_columns_.emplace_back(pos, pattern[pos]);
+      p.free_columns_.push_back(pos);
     }
   }
   return p;
@@ -133,6 +139,9 @@ bool AnswerProjector::Project(std::span<const TermId> tuple,
   }
   for (const auto& [col, term] : bound_checks_) {
     if (tuple[col] != term) return false;
+  }
+  for (const auto& [col, first] : equal_columns_) {
+    if (tuple[col] != tuple[first]) return false;
   }
   out->clear();
   for (int col : free_columns_) out->push_back(tuple[col]);
@@ -387,14 +396,10 @@ QueryAnswer QueryEngine::Run(
     if (controlled) {
       if (!sink) answer.tuples = collector.TakeSorted();
     } else {
-      std::vector<int> free_positions = QueryFreePositions(u, query);
-      for (const std::vector<TermId>& row :
-           result.QueryAnswers(u, *adorned, adorned->query_pred)) {
-        std::vector<TermId> tuple;
-        for (int p : free_positions) tuple.push_back(row[p]);
-        answer.tuples.push_back(std::move(tuple));
-      }
-      answer.tuples = SortedUnique(std::move(answer.tuples));
+      auto it = result.answers.find(adorned->query_pred);
+      answer.tuples = ExtractDirectAnswers(
+          u, adorned->query,
+          it == result.answers.end() ? nullptr : &it->second);
     }
     answer.outcome = ClassifyOutcome(result.stop_reason, answer.status);
     FillProfile(u, adorned->program, result.rule_profiles, &answer);

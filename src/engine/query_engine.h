@@ -179,9 +179,10 @@ std::vector<std::vector<TermId>> ExtractAnswers(
     const EvalResult& eval);
 
 /// Answers from a direct (non-rewritten) evaluation: selects rows of the
-/// query predicate matching the bound constants and projects the free
-/// positions (sorted, deduplicated). Used by the naive/semi-naive/top-down
-/// compiled plans and by base-predicate selections.
+/// query predicate matching the bound constants (and agreeing wherever the
+/// query repeats a variable) and projects the free positions (sorted,
+/// deduplicated). Used by the naive/semi-naive/top-down compiled plans —
+/// over a top-down run's answer table — and by base-predicate selections.
 std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
                                                       const Query& query,
                                                       const Relation* rel);
@@ -193,12 +194,14 @@ std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
 class AnswerProjector {
  public:
   /// Rows of `rewritten.answer_pred` (index fields must be zero, surviving
-  /// bound columns must match the instance constants).
+  /// bound columns must match the instance constants, and columns of a
+  /// repeated free variable must agree).
   static AnswerProjector ForRewritten(const Universe& u,
                                       const RewrittenProgram& rewritten,
                                       const Query& query);
   /// Rows of the query predicate itself (direct evaluation / top-down
-  /// answer tables): bound positions must match the instance constants.
+  /// answer tables): bound positions must match the instance constants,
+  /// and positions of a repeated free variable must agree.
   static AnswerProjector ForDirect(const Universe& u, const Query& query);
 
   /// Returns true and fills `*out` (cleared first) when `tuple` is an
@@ -214,6 +217,10 @@ class AnswerProjector {
   std::vector<std::pair<int, TermId>> required_;
   /// (column, constant) checks for the instance's bound arguments.
   std::vector<std::pair<int, TermId>> bound_checks_;
+  /// (column, column) pairs that must hold the same term: each later
+  /// occurrence of a repeated free variable against its first occurrence,
+  /// so anc(X,X) keeps only the diagonal.
+  std::vector<std::pair<int, int>> equal_columns_;
   /// Columns of the stored tuple holding the query's free positions.
   std::vector<int> free_columns_;
 };

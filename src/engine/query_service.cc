@@ -71,70 +71,19 @@ size_t QueryService::FormHandle::bound_arity() const {
 }
 
 size_t QueryService::FormKeyHash::operator()(const FormKey& key) const {
-  uint64_t h = HashCombine(key.pred, key.bound_mask);
-  h = HashCombine(h, static_cast<uint64_t>(key.strategy));
+  uint64_t h = HashCombine(key.pred, static_cast<uint64_t>(key.strategy));
+  for (int entry : key.pattern) {
+    h = HashCombine(h, static_cast<uint64_t>(entry));
+  }
   return HashCombine(h, std::hash<std::string>{}(key.sip));
 }
 
-size_t QueryService::InflightKeyHash::operator()(
-    const InflightKey& key) const {
-  uint64_t h = reinterpret_cast<uintptr_t>(key.form);
-  for (TermId term : key.seed) h = HashCombine(h, term);
-  return h;
-}
-
 namespace {
-
-/// The bound-position bitmask of a query instance: bit i set iff argument i
-/// is ground. Two instances with equal masks share a query form.
-uint64_t BoundMask(const Universe& u, const Query& query) {
-  uint64_t mask = 0;
-  for (size_t i = 0; i < query.goal.args.size(); ++i) {
-    if (u.terms().IsGround(query.goal.args[i])) mask |= uint64_t{1} << i;
-  }
-  return mask;
-}
 
 /// The AnswerCache tag of a compiled form: its stable address. Forms live
 /// as long as the service (and so does the cache), so tags never alias.
 uintptr_t CacheTag(const PreparedQueryForm* form) {
   return reinterpret_cast<uintptr_t>(form);
-}
-
-/// Subsumption filter: selects the tuples of a fully-free form's answer
-/// set (columns = all argument positions, sorted lexicographically) that
-/// match `bound_values` at `bound_positions`, projected onto the free
-/// positions. The selection of a sorted, deduplicated set is itself
-/// sorted and deduplicated: rows agree on every bound column, so the
-/// first differing column is a kept one — order and distinctness survive
-/// the projection.
-AnswerCache::Tuples FilterSubsumed(const AnswerCache::Tuples& all,
-                                   const std::vector<int>& bound_positions,
-                                   const std::vector<TermId>& bound_values) {
-  AnswerCache::Tuples out;
-  for (const std::vector<TermId>& tuple : all) {
-    bool match = true;
-    for (size_t k = 0; k < bound_positions.size(); ++k) {
-      if (tuple[bound_positions[k]] != bound_values[k]) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    std::vector<TermId> projected;
-    projected.reserve(tuple.size() - bound_positions.size());
-    size_t k = 0;
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      if (k < bound_positions.size() &&
-          static_cast<int>(i) == bound_positions[k]) {
-        ++k;
-        continue;
-      }
-      projected.push_back(tuple[i]);
-    }
-    out.push_back(std::move(projected));
-  }
-  return out;
 }
 
 /// A steady_clock time point in nanoseconds, on the same clock
@@ -185,12 +134,6 @@ QueryService::QueryService(const Program& program, Database& db,
   answers_from_cache_ = metrics_.GetCounter(
       "magicdb_answers_from_cache", {},
       "Requests served from the AnswerCache without evaluation");
-  answers_subsumed_ = metrics_.GetCounter(
-      "magicdb_answers_subsumed", {},
-      "Cache serves produced by filtering a fully-free cached answer set");
-  coalesced_ = metrics_.GetCounter(
-      "magicdb_coalesced", {},
-      "Duplicate in-flight (form, seed) requests parked behind a leader");
   deadline_shed_ = metrics_.GetCounter(
       "magicdb_deadline_shed", {},
       "Requests shed because their deadline expired before evaluation");
@@ -234,7 +177,7 @@ QueryService::~QueryService() = default;
 QueryService::FormKey QueryService::MakeKey(const QueryRequest& request) const {
   FormKey key;
   key.pred = request.query.goal.pred;
-  key.bound_mask = BoundMask(*program_.universe(), request.query);
+  key.pattern = QueryArgPattern(*program_.universe(), request.query);
   key.strategy = request.strategy.value_or(options_.engine.strategy);
   // naive/semi-naive plans take no sip; normalizing the key keeps one plan
   // per binding pattern instead of one per (irrelevant) sip name.
@@ -262,7 +205,6 @@ QueryService::CachedForm* QueryService::GetOrCompile(
   Result<PreparedQueryForm> form =
       PreparedQueryForm::Prepare(program_, request.query, engine_options);
   CachedForm& cached = forms_[key];
-  cached.key = key;
   const Universe& u = *program_.universe();
   cached.pred_name = u.symbols().Name(u.predicates().info(key.pred).name);
   cached.strategy = StrategyName(key.strategy);
@@ -378,34 +320,15 @@ bool QueryService::TryServeCached(CachedForm* cached,
   // write probes at >= V+1 and misses every older entry.
   std::shared_ptr<const AnswerCache::Tuples> tuples =
       cache_.Get(CacheTag(cached->form.get()), bound_values, version);
-  bool subsumed = false;
-  if (tuples == nullptr && options_.cache_subsumption &&
-      !bound_values.empty()) {
-    // Subsumption fast path: a complete fully-free answer set of the same
-    // (pred, strategy, sip) serves any bound instance by filtering. The
-    // filtered result is promoted to an exact entry so the next repeat of
-    // this seed skips the filter too.
-    if (CachedForm* free_form = FindFreeSibling(cached)) {
-      if (auto all =
-              cache_.Get(CacheTag(free_form->form.get()), {}, version)) {
-        auto filtered = std::make_shared<AnswerCache::Tuples>(FilterSubsumed(
-            *all, cached->form->bound_positions(), bound_values));
-        cache_.Put(CacheTag(cached->form.get()), bound_values, version,
-                   filtered);
-        tuples = std::move(filtered);
-        subsumed = true;
-      }
-    }
-  }
   if (tuples == nullptr) return false;
-  ServeHit(cached, std::move(tuples), limits, sink, done, subsumed);
+  ServeHit(cached, std::move(tuples), limits, sink, done);
   return true;
 }
 
 void QueryService::ServeHit(CachedForm* cached,
                             std::shared_ptr<const AnswerCache::Tuples> tuples,
                             const QueryLimits& limits, const AnswerSink& sink,
-                            const Completion& done, bool subsumed) {
+                            const Completion& done) {
   QueryAnswer answer;
   answer.from_cache = true;
   answer.strategy_name = cached->strategy;
@@ -444,84 +367,29 @@ void QueryService::ServeHit(CachedForm* cached,
   // dilute eval-stage latency.
   queries_served_->Add();
   answers_from_cache_->Add();
-  if (subsumed) answers_subsumed_->Add();
   done(std::move(answer));
 }
 
-QueryService::CachedForm* QueryService::FindFreeSibling(CachedForm* cached) {
-  if (CachedForm* memo = cached->free_sibling.load(std::memory_order_acquire)) {
-    return memo;
-  }
-  FormKey key = cached->key;
-  key.bound_mask = 0;
-  CachedForm* found = nullptr;
-  // try_lock, not lock: a compile in progress holds form_mutex_ for the
-  // whole adorn+rewrite, and evaluating workers reach here on every
-  // second-chance miss — skipping the subsumption fast path once is
-  // cheaper than serializing the pool behind the compile. (Raw
-  // TryLock/Unlock rather than a scoped guard: the analysis follows the
-  // TRY_ACQUIRE branch precisely, where a maybe-owning guard defeats it.)
-  if (!form_mutex_.TryLock()) return nullptr;
-  auto it = forms_.find(key);
-  // bound_mask == 0 is necessary but not sufficient: a repeated-variable
-  // or non-ground-compound exemplar (anc(X,X), p(f(X),Y)) also has no
-  // bound positions yet caches a *restricted* answer set that must never
-  // subsume a bound instance.
-  if (it != forms_.end() && it->second.form != nullptr &&
-      it->second.form->fully_free()) {
-    found = &it->second;
-  }
-  form_mutex_.Unlock();
-  // Only positive results are memoized: the sibling may be Prepared later,
-  // so a miss must keep re-checking. Forms are never erased, so a found
-  // pointer stays valid for the service's lifetime.
-  if (found != nullptr) {
-    cached->free_sibling.store(found, std::memory_order_release);
-  }
-  return found;
-}
-
-void QueryService::ReleaseInflight(CachedForm* cached,
-                                   const std::vector<TermId>& bound_values) {
-  std::vector<std::function<void()>> waiters;
-  {
-    MutexLock lock(inflight_mutex_);
-    auto it = inflight_.find(InflightKey{cached, bound_values});
-    if (it != inflight_.end()) {
-      waiters = std::move(it->second);
-      inflight_.erase(it);
-    }
-  }
-  // Re-dispatch outside the lock: a waiter either hits the cache the
-  // leader just filled (served inline here) or becomes the next leader
-  // (its evaluation goes back through the pool). A re-dispatched waiter
-  // that finds a new leader in the table simply parks again — progress is
-  // guaranteed because some request always holds the leader slot.
-  for (std::function<void()>& waiter : waiters) waiter();
-}
-
-void QueryService::DispatchForm(
-    CachedForm* cached, std::vector<TermId> bound_values, QueryLimits limits,
-    AnswerSink sink, bool enforce_admission, Completion done,
-    std::optional<std::chrono::steady_clock::time_point> admitted_at,
-    obs::Span compile_span) {
-  // The deadline anchor survives coalescing round-trips: a parked
-  // duplicate re-enters here with its original `admitted_at`, so park
-  // time counts against the deadline exactly like queue time does. The
-  // check runs BEFORE the cache probe: an expired request is shed whether
-  // the answer would have been warm or cold — cache temperature must not
-  // turn a kDeadlineExceeded into a kOk.
-  const auto admitted = admitted_at.value_or(std::chrono::steady_clock::now());
+void QueryService::DispatchForm(CachedForm* cached,
+                                std::vector<TermId> bound_values,
+                                QueryLimits limits, AnswerSink sink,
+                                bool enforce_admission, Completion done,
+                                obs::Span compile_span) {
+  // The admission anchor: the deadline and the recorded latency both count
+  // from here, so queue wait counts toward each. A request with no time
+  // left is shed BEFORE the cache probe, whether the answer would have been
+  // warm or cold — cache temperature must not turn a kDeadlineExceeded
+  // into a kOk.
+  const auto admitted = std::chrono::steady_clock::now();
   if (limits.deadline.has_value() &&
-      std::chrono::steady_clock::now() >= admitted + *limits.deadline) {
+      *limits.deadline <= std::chrono::milliseconds::zero()) {
     deadline_shed_->Add();
     queries_served_->Add();
     done(DeadlineShedAnswer());
     return;
   }
-  // Latency is measured from the admission anchor (same clock as the
-  // trace spans), so queue wait and coalescing park time count toward the
-  // recorded latency exactly as they count against the deadline.
+  // Latency is measured from the admission anchor, on the trace spans'
+  // clock.
   const bool obs_on = options_.obs.enabled;
   const uint64_t t_anchor = obs_on ? ToNs(admitted) : 0;
 
@@ -550,39 +418,6 @@ void QueryService::DispatchForm(
     return;
   }
 
-  // Request coalescing: a miss identical to an in-flight (form, seed)
-  // evaluation parks behind it instead of evaluating again; the leader's
-  // fill serves it. Needs the cache (that is the handoff medium) and a
-  // well-formed seed (malformed ones just flow to Answer()'s error path).
-  // Parking happens *after* Admit: a parked duplicate is
-  // submitted-but-not-finished work, so it holds its admission slot while
-  // it waits (max_pending backpressure keeps seeing it) and gives the
-  // slot back when its re-dispatch goes around again.
-  const bool coalescing = options_.coalesce_requests && cache_.enabled() &&
-                          bound_values.size() == cached->form->bound_arity();
-  if (coalescing) {
-    MutexLock lock(inflight_mutex_);
-    auto [it, inserted] =
-        inflight_.try_emplace(InflightKey{cached, bound_values});
-    if (!inserted) {
-      coalesced_->Add();
-      it->second.push_back(
-          [this, cached, bound_values = std::move(bound_values),
-           limits = std::move(limits), sink = std::move(sink),
-           done = std::move(done), admitted, compile_span]() mutable {
-            // Return the parked slot, then go around again with the
-            // original anchor. enforce_admission=false: this request was
-            // already admitted once and must not be rejected late.
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            DispatchForm(cached, std::move(bound_values), std::move(limits),
-                         std::move(sink), /*enforce_admission=*/false,
-                         std::move(done), admitted, compile_span);
-          });
-      return;
-    }
-    // Inserted: this request is the leader and must ReleaseInflight on
-    // every completion path below.
-  }
   // Cold path: the request will occupy a worker, so a per-request Trace
   // is worth its one small allocation. Spans recorded so far: admission
   // (anchor -> probe) and the inline cache probe; the compile span rides
@@ -599,8 +434,7 @@ void QueryService::DispatchForm(
     trace->Record(obs::Stage::kCacheProbe, probe_start, probe_end);
     t_submit = obs::Trace::NowNs();
   }
-  pool_.Submit([this, cached, coalescing,
-                bound_values = std::move(bound_values),
+  pool_.Submit([this, cached, bound_values = std::move(bound_values),
                 limits = std::move(limits), sink = std::move(sink),
                 done = std::move(done), admitted, trace = std::move(trace),
                 t_anchor, t_submit]() mutable {
@@ -623,26 +457,23 @@ void QueryService::DispatchForm(
         std::chrono::steady_clock::now() >= admitted + *limits.deadline) {
       deadline_shed_->Add();
       queries_served_->Add();
-      if (coalescing) ReleaseInflight(cached, bound_values);
       pending_.fetch_sub(1, std::memory_order_relaxed);
       done(DeadlineShedAnswer());
       return;
     }
     // Second chance: a fill that completed while this request sat in the
-    // pool queue serves it now — a concurrent batch of repeated seeds
-    // evaluates once, not once per repeat. The full probe (including the
-    // subsumption sibling lookup) takes only form_mutex_ and the cache
-    // shard locks; a pin holds no lock at all.
+    // pool queue serves it now, so a burst of repeated seeds evaluates at
+    // most once per worker, not once per repeat. The probe takes only the
+    // cache shard locks.
     if (cache_.enabled() &&
         TryServeCached(cached, bound_values, version, limits, sink, done)) {
       if (trace != nullptr) {
-        // Served by a leader's fill while queued: latency-wise this is a
-        // cache serve, so it records as cache_inline, not eval.
+        // Served by another request's fill while queued: latency-wise this
+        // is a cache serve, so it records as cache_inline, not eval.
         const uint64_t now = obs::Trace::NowNs();
         cached->inline_latency->Record(now - t_anchor);
         request_latency_->Record(now - t_anchor);
       }
-      if (coalescing) ReleaseInflight(cached, bound_values);
       pending_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
@@ -711,8 +542,6 @@ void QueryService::DispatchForm(
       cache_.Put(CacheTag(cached->form.get()), bound_values, version,
                  std::move(tuples));
     }
-    // Unpark duplicates only after the fill above, so they hit it.
-    if (coalescing) ReleaseInflight(cached, bound_values);
     queries_served_->Add();
     if (trace != nullptr) {
       const uint64_t t_done = obs::Trace::NowNs();
@@ -792,15 +621,9 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
     return;
   }
 
-  std::vector<TermId> bound_values;
-  for (size_t i = 0; i < request.query.goal.args.size(); ++i) {
-    if (key.bound_mask & (uint64_t{1} << i)) {
-      bound_values.push_back(request.query.goal.args[i]);
-    }
-  }
-  DispatchForm(cached, std::move(bound_values), request.limits,
-               std::move(sink), enforce_admission, std::move(done),
-               std::nullopt, compile_span);
+  DispatchForm(cached, QueryBoundArgs(*program_.universe(), request.query),
+               request.limits, std::move(sink), enforce_admission,
+               std::move(done), compile_span);
 }
 
 Result<QueryService::FormHandle> QueryService::Prepare(
@@ -1003,16 +826,16 @@ std::string QueryService::Stats::Summary() const {
   std::snprintf(
       buffer, sizeof(buffer),
       "%zu form(s) compiled, %zu form-cache hit(s); answer cache: "
-      "%" PRIu64 " hit(s), %" PRIu64 " miss(es), %zu served from cache "
-      "(%zu subsumed), %" PRIu64 " eviction(s), %zu/%zu byte(s); "
-      "served %zu (%zu coalesced, %zu deadline-shed, %zu overloaded); "
+      "%" PRIu64 " hit(s), %" PRIu64 " miss(es), %zu served from cache, "
+      "%" PRIu64 " eviction(s), %zu/%zu byte(s); "
+      "served %zu (%zu deadline-shed, %zu overloaded); "
       "latency p50/p99 %.3f/%.3f ms over %" PRIu64 " request(s); "
       "%zu write batch(es) applied (publish %.3f ms); "
       "form rows %" PRIu64 " (%" PRIu64 " truncated); %zu slow quer(ies)",
       forms_compiled, form_cache_hits, answer_cache.hits,
-      answer_cache.misses, answers_from_cache, answers_subsumed,
-      answer_cache.evictions, answer_cache.bytes, answer_cache.max_bytes,
-      queries_served, coalesced, deadline_shed, overloaded,
+      answer_cache.misses, answers_from_cache, answer_cache.evictions,
+      answer_cache.bytes, answer_cache.max_bytes, queries_served,
+      deadline_shed, overloaded,
       request_latency.Quantile(0.5) / 1e6,
       request_latency.Quantile(0.99) / 1e6, request_latency.count,
       writes_applied, static_cast<double>(write_publish.sum) / 1e6, all.rows,
@@ -1034,8 +857,6 @@ void WriteFragmentKeys(const QueryService::Stats& stats, JsonWriter& w) {
   w.Key("answer_hits").Uint(stats.answer_cache.hits);
   w.Key("answer_misses").Uint(stats.answer_cache.misses);
   w.Key("answers_from_cache").Uint(stats.answers_from_cache);
-  w.Key("answers_subsumed").Uint(stats.answers_subsumed);
-  w.Key("coalesced").Uint(stats.coalesced);
   w.Key("deadline_shed").Uint(stats.deadline_shed);
   w.Key("writes_applied").Uint(stats.writes_applied);
   w.Key("write_publish_ns").Uint(stats.write_publish.sum);
@@ -1137,8 +958,6 @@ QueryService::Stats QueryService::stats() const {
   stats.overloaded = static_cast<size_t>(overloaded_->value());
   stats.answers_from_cache =
       static_cast<size_t>(answers_from_cache_->value());
-  stats.answers_subsumed = static_cast<size_t>(answers_subsumed_->value());
-  stats.coalesced = static_cast<size_t>(coalesced_->value());
   stats.deadline_shed = static_cast<size_t>(deadline_shed_->value());
   stats.writes_applied = static_cast<size_t>(writes_applied_->value());
   stats.pending = pending_.load(std::memory_order_relaxed);

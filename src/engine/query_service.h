@@ -46,17 +46,6 @@ struct QueryServiceOptions {
   /// memoization entirely. Warm hits are served inline on the calling
   /// thread — no worker, no admission slot.
   size_t cache_bytes = size_t{64} << 20;
-  /// Subsumption fast path: when the exact (form, seed) entry misses but
-  /// the same predicate's fully-free form has a cached complete answer
-  /// set for the current version, serve the bound instance by filtering it
-  /// (and promote the filtered result to an exact entry).
-  bool cache_subsumption = true;
-  /// Request coalescing: when an identical (form, seed) instance is
-  /// already evaluating, park the duplicate until the first evaluation
-  /// fills the AnswerCache instead of evaluating it again. Requires the
-  /// cache (a parked request is served from the leader's fill); with
-  /// cache_bytes = 0 coalescing is off regardless.
-  bool coalesce_requests = true;
   /// Defaults for requests that don't override strategy/sip; `eval` and
   /// `guard_mode` always come from here.
   EngineOptions engine;
@@ -122,7 +111,8 @@ class AnswerCursor {
 ///
 /// The paper's compile-once/query-many reading of magic sets (Section 4's
 /// query forms) is the seam this exploits: each distinct query form —
-/// (predicate, adornment, strategy, sip) — is compiled exactly once via
+/// (predicate, argument pattern, strategy, sip), where the pattern is the
+/// adornment plus any repeated variable — is compiled exactly once via
 /// PreparedQueryForm::Prepare and cached, and every instance of the form is
 /// just a per-query seed over the same compiled plan. This now holds for
 /// *every* strategy: naive/semi-naive/top-down compile to plans too (the
@@ -150,9 +140,10 @@ class AnswerCursor {
 /// and makes every earlier entry unreachable, so alternating write/serve
 /// phases never see stale answers. Truncated, deadline-expired, cancelled,
 /// and failed answers are never cached; base-predicate requests bypass the
-/// cache. Two requests for an identical (form, seed) miss that are in
-/// flight at once coalesce: the first evaluates and fills, the duplicate
-/// parks and is served from the fill (see coalesce_requests).
+/// cache. The cache is the only way answers are reused: a miss evaluates.
+/// A worker re-probes the cache when it picks a request up, so a request
+/// whose identical twin filled the cache while it sat in the pool queue is
+/// served from that fill.
 ///
 /// The EDB is not frozen for the service's lifetime: ApplyWrites is its
 /// one mutation point, and it never waits for readers. It takes a FIFO
@@ -187,10 +178,10 @@ class AnswerCursor {
 ///     current DatabaseVersion (a pointer copy under the version chain's
 ///     leaf mutex) and evaluates against that immutable snapshot.
 ///     ApplyWrites holds commit_mutex_ only to take/redeem its ticket and
-///     touches no dispatch state while committing — machine-checked: it is EXCLUDES(commit_mutex_,
-///     form_mutex_, inflight_mutex_), and the commit tier ranks above
-///     form/inflight in the Debug rank checker (util/annotated_mutex.h),
-///     so the reverse nesting aborts.
+///     touches no dispatch state while committing — machine-checked: it is
+///     EXCLUDES(commit_mutex_, form_mutex_), and the commit tier ranks
+///     above form in the Debug rank checker (util/annotated_mutex.h), so
+///     the reverse nesting aborts.
 ///   * Workers key every AnswerCache fill to the version they pinned —
 ///     by construction the data they actually read. The lock-free inline
 ///     hit path probes at the chain's current version number; serving a
@@ -201,9 +192,9 @@ class AnswerCursor {
 ///     construction) is safe because TermArena is internally synchronized.
 ///   * Answer sinks and cursor buffers are touched only by the evaluating
 ///     worker and the consumer, under the cursor's own mutex.
-///   * Lock order: inflight_mutex_ -> form_mutex_ -> commit_mutex_ ->
-///     data plane (symbol/relation-index/cache-shard) -> pool/cursor
-///     internals -> leaves (the version chain's head mutex). The order is
+///   * Lock order: form_mutex_ -> commit_mutex_ -> data plane
+///     (symbol/relation-index/cache-shard) -> pool/cursor internals ->
+///     leaves (the version chain's head mutex). The order is
 ///     encoded as lock ranks (util/annotated_mutex.h) and asserted on
 ///     every acquisition in Debug builds.
 class QueryService {
@@ -304,11 +295,11 @@ class QueryService {
   /// Stream.
   ///
   /// EXCLUDES names the dispatch tier plus the ticket lock: ApplyWrites
-  /// must enter with none of them held, and the committing writer touches
-  /// no dispatch state (commit ranks above form/inflight, so the reverse
-  /// nesting aborts in the Debug rank checker).
+  /// must enter with neither held, and the committing writer touches no
+  /// dispatch state (commit ranks above form, so the reverse nesting
+  /// aborts in the Debug rank checker).
   Result<WriteResult> ApplyWrites(const WriteBatch& batch)
-      EXCLUDES(commit_mutex_, form_mutex_, inflight_mutex_);
+      EXCLUDES(commit_mutex_, form_mutex_);
 
   /// Serving counters, snapshotted from the metrics registry — the ONE
   /// aggregation path every reporter (magicdb --stats, STATS/METRICS wire
@@ -316,9 +307,8 @@ class QueryService {
   /// request-tier lookups that found an already-compiled form;
   /// `answer_cache` holds the raw AnswerCache counters (exact hits/
   /// misses/evictions/bytes); `answers_from_cache` counts requests
-  /// answered without evaluation (including subsumed ones), and every
-  /// such request still counts in `queries_served` and its form's
-  /// FormStats.
+  /// answered without evaluation, and every such request still counts in
+  /// `queries_served` and its form's FormStats.
   struct Stats {
     size_t forms_compiled = 0;
     size_t form_cache_hits = 0;
@@ -327,11 +317,6 @@ class QueryService {
     size_t overloaded = 0;
     /// Requests served from the AnswerCache (no evaluation ran).
     size_t answers_from_cache = 0;
-    /// Of those, requests served by filtering a fully-free cached entry.
-    size_t answers_subsumed = 0;
-    /// Duplicate (form, seed) misses parked behind an in-flight identical
-    /// evaluation instead of evaluating again (request coalescing).
-    size_t coalesced = 0;
     /// Queued requests whose deadline had already expired when a worker
     /// picked them up (or at dispatch, including inline warm hits);
     /// completed kDeadlineExceeded without evaluating.
@@ -426,7 +411,9 @@ class QueryService {
  private:
   struct FormKey {
     PredId pred = 0;
-    uint64_t bound_mask = 0;
+    /// QueryArgPattern of the goal: which arguments are ground and which
+    /// repeat a variable, so anc(X,X) and anc(X,Y) are different forms.
+    std::vector<int> pattern;
     Strategy strategy = Strategy::kSupplementaryMagic;
     std::string sip;
     bool operator==(const FormKey&) const = default;
@@ -455,10 +442,6 @@ class QueryService {
   struct CachedForm {
     std::unique_ptr<PreparedQueryForm> form;  // null when compilation failed
     Status error;
-    FormKey key;            // the form-cache key this entry lives under
-    /// Memoized FindFreeSibling result (null until one is found; set-once,
-    /// benign race — both writers store the same pointer).
-    std::atomic<CachedForm*> free_sibling{nullptr};
     std::string pred_name;  // static labels for Stats::FormStats
     std::string strategy;
     std::string sip;
@@ -477,16 +460,6 @@ class QueryService {
   };
 
   using Completion = std::function<void(QueryAnswer)>;
-
-  /// Key of the in-flight coalescing table: one evaluating instance.
-  struct InflightKey {
-    CachedForm* form = nullptr;
-    std::vector<TermId> seed;
-    bool operator==(const InflightKey&) const = default;
-  };
-  struct InflightKeyHash {
-    size_t operator()(const InflightKey& key) const;
-  };
 
   FormKey MakeKey(const QueryRequest& request) const;
 
@@ -514,40 +487,28 @@ class QueryService {
                 bool enforce_admission, Completion done);
 
   /// The handle hot path: an answer-cache probe, then (on a miss) pool
-  /// dispatch — the worker pins the current database version and
-  /// evaluates against that snapshot; clean complete answers fill the
-  /// cache on the way out. Identical in-flight misses coalesce here:
-  /// a duplicate is admitted first (it holds an admission slot while
-  /// parked, so max_pending backpressure sees it), then parks behind the
-  /// leader. `admitted_at` is the request's original admission anchor —
-  /// a parked duplicate passes it through its re-dispatch, so its
-  /// deadline keeps counting queue *and* park time and is shed, never
-  /// re-anchored, when it expires.
+  /// dispatch — the worker pins the current database version, re-probes
+  /// the cache, and evaluates against that snapshot; clean complete
+  /// answers fill the cache on the way out. The request is admitted (and
+  /// its deadline anchored) on entry, so queue wait counts against it.
   /// `compile_span` (end_ns != 0 when present) is the request-tier
   /// compile interval, recorded into the trace when one is allocated.
   void DispatchForm(CachedForm* cached, std::vector<TermId> bound_values,
                     QueryLimits limits, AnswerSink sink,
                     bool enforce_admission, Completion done,
-                    std::optional<std::chrono::steady_clock::time_point>
-                        admitted_at = std::nullopt,
-                    obs::Span compile_span = {})
-      EXCLUDES(form_mutex_, inflight_mutex_);
+                    obs::Span compile_span = {});
 
-  /// Serves `cached`'s instance from the AnswerCache when possible
-  /// (exact-key hit, or the fully-free subsumption fast path). `version`
-  /// is the database version the caller probes under: workers pass the
-  /// version they pinned at dispatch, the inline path passes the chain's
+  /// Serves `cached`'s instance from the AnswerCache on an exact-key hit.
+  /// `version` is the database version the caller probes under: workers
+  /// pass the version they pinned, the inline path passes the chain's
   /// lock-free current version number. No fence is needed in either case
   /// — a hit keyed at version V is the complete answer for V, and serving
   /// it while V+1 publishes concurrently is linearizable (the request
-  /// overlapped the write). Returns true when `done` was invoked —
-  /// inline, on the calling thread, with no worker or admission slot
-  /// involved.
+  /// overlapped the write). Returns true when `done` was invoked.
   bool TryServeCached(CachedForm* cached,
                       const std::vector<TermId>& bound_values,
                       uint64_t version, const QueryLimits& limits,
-                      const AnswerSink& sink, const Completion& done)
-      EXCLUDES(form_mutex_);
+                      const AnswerSink& sink, const Completion& done);
 
   /// Completes a request from a cached tuple set: applies the row limit,
   /// feeds the sink (streaming) or materializes `tuples` (unary), and
@@ -555,25 +516,7 @@ class QueryService {
   void ServeHit(CachedForm* cached,
                 std::shared_ptr<const AnswerCache::Tuples> tuples,
                 const QueryLimits& limits, const AnswerSink& sink,
-                const Completion& done, bool subsumed);
-
-  /// The compiled genuinely fully-free sibling of `cached` (same
-  /// predicate, strategy, and sip; every goal argument a distinct
-  /// variable), or null if none was ever compiled. A found sibling is
-  /// memoized on `cached` (forms_ entries are never erased, so the
-  /// pointer stays valid), so steady-state probes skip form_mutex_. The
-  /// un-memoized probe only try-locks form_mutex_: subsumption is an
-  /// optimization, and stalling an evaluating worker behind an in-flight
-  /// compilation (which holds form_mutex_ for the whole adorn+rewrite)
-  /// would cost more than skipping the fast path once.
-  CachedForm* FindFreeSibling(CachedForm* cached) EXCLUDES(form_mutex_);
-
-  /// Leader-side exit of the coalescing table: unregisters the in-flight
-  /// (form, seed) entry and re-dispatches every parked duplicate (each
-  /// re-probes the cache, which the leader just filled on the clean path).
-  void ReleaseInflight(CachedForm* cached,
-                       const std::vector<TermId>& bound_values)
-      EXCLUDES(inflight_mutex_);
+                const Completion& done);
 
   std::future<QueryAnswer> SubmitImpl(const QueryRequest& request,
                                       bool enforce_admission);
@@ -603,14 +546,13 @@ class QueryService {
   /// mutex; the commit itself (clone + apply + publish) runs OUTSIDE it —
   /// exclusion among writers is the ticket, so an arriving writer queues
   /// behind the running one in strict arrival order (no barging). Ranked
-  /// above form/inflight: a committing writer touches no dispatch state.
+  /// above form: a committing writer touches no dispatch state.
   Mutex commit_mutex_{lock_rank::kCommit};
   std::condition_variable_any commit_turn_;
   uint64_t commit_next_ticket_ GUARDED_BY(commit_mutex_) = 0;
   uint64_t commit_serving_ GUARDED_BY(commit_mutex_) = 0;
 
-  /// Guards forms_. Nests inside inflight_mutex_ never — see the lock
-  /// order above.
+  /// Guards forms_.
   mutable Mutex form_mutex_{lock_rank::kForm};
   std::unordered_map<FormKey, CachedForm, FormKeyHash> forms_
       GUARDED_BY(form_mutex_);
@@ -630,8 +572,6 @@ class QueryService {
   obs::Counter* queries_served_ = nullptr;
   obs::Counter* overloaded_ = nullptr;
   obs::Counter* answers_from_cache_ = nullptr;
-  obs::Counter* answers_subsumed_ = nullptr;
-  obs::Counter* coalesced_ = nullptr;
   obs::Counter* deadline_shed_ = nullptr;
   obs::Counter* writes_applied_ = nullptr;
   /// End-to-end latency of every served request (inline hits included).
@@ -656,13 +596,6 @@ class QueryService {
   /// Stays a raw atomic: Admit's fetch_add is also the admission check,
   /// which a monotonic counter cannot express.
   std::atomic<size_t> pending_{0};
-
-  /// In-flight evaluations keyed by (form, seed); the mapped value holds
-  /// the parked duplicates' re-dispatch closures.
-  Mutex inflight_mutex_{lock_rank::kInflight};
-  std::unordered_map<InflightKey, std::vector<std::function<void()>>,
-                     InflightKeyHash>
-      inflight_ GUARDED_BY(inflight_mutex_);
 
   /// Cross-query answer memo; internally synchronized (lock-free hit
   /// path), so it sits outside the serve/form lock order entirely.

@@ -6,32 +6,6 @@
 
 namespace magic {
 
-std::vector<std::vector<TermId>> TopDownResult::QueryAnswers(
-    const Universe& u, const AdornedProgram& adorned, PredId pred) const {
-  return QueryAnswers(u, adorned.query, pred);
-}
-
-std::vector<std::vector<TermId>> TopDownResult::QueryAnswers(
-    const Universe& u, const Query& instance, PredId pred) const {
-  std::vector<std::vector<TermId>> out;
-  auto it = answers.find(pred);
-  if (it == answers.end()) return out;
-  const Relation& rel = it->second;
-  const Literal& goal = instance.goal;
-  for (size_t row = 0; row < rel.size(); ++row) {
-    std::span<const TermId> tuple = rel.Row(row);
-    bool match = true;
-    for (size_t a = 0; a < goal.args.size(); ++a) {
-      if (u.terms().IsGround(goal.args[a]) && tuple[a] != goal.args[a]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.emplace_back(tuple.begin(), tuple.end());
-  }
-  return out;
-}
-
 TopDownResult TopDownEngine::Run(const AdornedProgram& adorned,
                                  const Database& edb,
                                  const EvalControl* control) const {

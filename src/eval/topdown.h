@@ -37,18 +37,6 @@ struct TopDownResult {
   /// `delta_rows` counts subqueries the rule generated). Populated when
   /// EvalOptions::rule_profile is set (the default).
   std::vector<RuleProfile> rule_profiles;
-
-  /// The answers to the original query (tuples over the full arity of the
-  /// adorned query predicate, restricted to the query's bound constants).
-  std::vector<std::vector<TermId>> QueryAnswers(const Universe& u,
-                                                const AdornedProgram& adorned,
-                                                PredId pred) const;
-  /// Same, restricted to `instance`'s bound constants instead of the
-  /// adorned exemplar's (the compile-once/query-many reading: one adorned
-  /// program, many seeds).
-  std::vector<std::vector<TermId>> QueryAnswers(const Universe& u,
-                                                const Query& instance,
-                                                PredId pred) const;
 };
 
 /// A memoizing top-down evaluator in the QSQR / extension-table style: the

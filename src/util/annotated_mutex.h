@@ -34,20 +34,18 @@
 /// service-wide lock at all (they pin an MVCC database version under the
 /// version chain's leaf mutex); what remains ranked is
 ///
-///   sessions (60) -> inflight (200) -> form (300)
-///     -> commit (340) || data plane (>= 400)
+///   sessions (60) -> form (300) -> commit (340) || data plane (>= 400)
 ///
 /// with two refinements the prose contract always had but nothing
 /// enforced:
 ///
 ///   * "The write path takes no service-tier lock" — the commit tier
-///     (kCommit) ranks ABOVE inflight and form, so a writer that tried to
-///     touch dispatch state while holding its commit ticket mutex would
-///     abort by rank descent. SharedMutex additionally
-///     supports an exclusive-nest floor (acquisitions below the floor
-///     abort while the mutex is held exclusively) for seams that need a
-///     hard tier wall; the feature is rank-table-independent and covered
-///     by a synthetic death test.
+///     (kCommit) ranks ABOVE form, so a writer that tried to touch
+///     dispatch state while holding its commit ticket mutex would abort by
+///     rank descent. SharedMutex additionally supports an exclusive-nest
+///     floor (acquisitions below the floor abort while the mutex is held
+///     exclusively) for seams that need a hard tier wall; the feature is
+///     rank-table-independent and covered by a synthetic death test.
 ///   * "Overlay tables lock strictly overlay -> base" — overlay
 ///     symbol/predicate tables take a rank a step BELOW their base's, so
 ///     the reverse order (base held, overlay wanted) aborts.
@@ -58,12 +56,11 @@ namespace lock_rank {
 /// Ranks ascend along the sanctioned acquisition order; a thread may only
 /// acquire strictly upward. Gaps are deliberate room for future tiers.
 inline constexpr int kServerSessions = 60;  // net::MagicServer session map
-inline constexpr int kInflight = 200;       // QueryService::inflight_mutex_
 inline constexpr int kForm = 300;           // QueryService::form_mutex_
 /// The MVCC write tier: the FIFO commit ticket lock. It ranks above the
-/// dispatch tier (a writer never touches inflight/form state) and below
-/// the data plane (a committing writer clones relations and rebuilds their
-/// indices, so it takes kRelationIndex and symbol-table locks underneath).
+/// dispatch tier (a writer never touches form state) and below the data
+/// plane (a committing writer clones relations and rebuilds their indices,
+/// so it takes kRelationIndex and symbol-table locks underneath).
 /// The version chain's head pointer sits behind a kLeaf mutex.
 inline constexpr int kCommit = 340;         // QueryService::commit_mutex_
 /// SharedMutex exclusive-nest floor boundary: a seam constructed with this

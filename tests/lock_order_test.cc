@@ -35,9 +35,9 @@ QueryRequest MakeRequest(const Query& query) {
 
 [[maybe_unused]] void LockDescendingRanks() NO_THREAD_SAFETY_ANALYSIS {
   Mutex form(lock_rank::kForm);
-  Mutex inflight(lock_rank::kInflight);
+  Mutex sessions(lock_rank::kServerSessions);
   form.Lock();
-  inflight.Lock();  // rank 200 under rank 300: out of order
+  sessions.Lock();  // rank 60 under rank 300: out of order
 }
 
 [[maybe_unused]] void LockEqualRanks() NO_THREAD_SAFETY_ANALYSIS {
@@ -127,10 +127,10 @@ TEST(LockRankDeathTest, CheckerCompiledOutInRelease) {
 // --- Sanctioned orders must be silent ---------------------------------------
 
 TEST(LockRankTest, WorkerOrderIsSilent) {
-  // inflight -> form -> data plane -> pool -> cursor: the full reader
+  // sessions -> form -> data plane -> pool -> cursor: the full reader
   // chain (readers pin a version instead of taking a seam lock, so no
   // serve-tier mutex appears), deepest sanctioned nesting in the tree.
-  Mutex inflight(lock_rank::kInflight);
+  Mutex sessions(lock_rank::kServerSessions);
   Mutex form(lock_rank::kForm);
   SharedMutex symbols(lock_rank::kSymbolRoot);
   Mutex index(lock_rank::kRelationIndex);
@@ -139,7 +139,7 @@ TEST(LockRankTest, WorkerOrderIsSilent) {
   Mutex pool(lock_rank::kPool);
   Mutex cursor(lock_rank::kCursor);
   {
-    MutexLock coalesce(inflight);
+    MutexLock session_map(sessions);
     MutexLock compile(form);
     {
       ReaderMutexLock names(symbols);
@@ -187,11 +187,11 @@ TEST(LockRankTest, FailedTryLockLeavesNoHeldRecord) {
   // A TryLock that loses the race must pop its provisional record, or the
   // next (perfectly legal) acquisition would trip over a ghost entry.
   Mutex form(lock_rank::kForm);
-  Mutex inflight(lock_rank::kInflight);
+  Mutex sessions(lock_rank::kServerSessions);
   form.Lock();
   std::thread contender([&] {
     EXPECT_FALSE(form.TryLock());
-    MutexLock ok(inflight);  // would abort if the failed try left a record
+    MutexLock ok(sessions);  // would abort if the failed try left a record
   });
   contender.join();
   form.Unlock();
@@ -201,7 +201,7 @@ TEST(LockRankTest, FailedTryLockLeavesNoHeldRecord) {
 TEST(LockRankTest, OutOfLifoReleaseIsSupported) {
   // Guards of interleaved scopes release out of stack order; the checker
   // must find the entry by identity, not by position.
-  Mutex low(lock_rank::kInflight);
+  Mutex low(lock_rank::kServerSessions);
   Mutex high(lock_rank::kForm);
   low.Lock();
   high.Lock();

@@ -4,6 +4,7 @@
 
 #include "ast/parser.h"
 #include "core/magic_sets.h"
+#include "engine/query_engine.h"
 #include "eval/evaluator.h"
 #include "workload/generators.h"
 
@@ -39,8 +40,8 @@ TEST(TopDownTest, AnswersAncestorQuery) {
   )");
   TopDownResult result = TopDownEngine().Run(p.adorned, p.db);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  auto answers =
-      result.QueryAnswers(*p.universe, p.adorned, p.adorned.query_pred);
+  auto answers = ExtractDirectAnswers(*p.universe, p.adorned.query,
+                                      &result.answers.at(p.adorned.query_pred));
   EXPECT_EQ(answers.size(), 2u);  // b and c; the x->y chain is never touched
 }
 
@@ -67,10 +68,10 @@ TEST(TopDownTest, HandlesFunctionSymbols) {
   )");
   TopDownResult result = TopDownEngine().Run(p.adorned, p.db);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  auto answers =
-      result.QueryAnswers(*p.universe, p.adorned, p.adorned.query_pred);
-  ASSERT_EQ(answers.size(), 1u);
-  EXPECT_EQ(p.universe->TermToString(answers[0][1]), "[c,b,a]");
+  auto answers = ExtractDirectAnswers(*p.universe, p.adorned.query,
+                                      &result.answers.at(p.adorned.query_pred));
+  ASSERT_EQ(answers.size(), 1u);  // projected onto the free position Y
+  EXPECT_EQ(p.universe->TermToString(answers[0][0]), "[c,b,a]");
 }
 
 TEST(TopDownTest, BudgetGuardsDivergence) {
