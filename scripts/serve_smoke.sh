@@ -75,6 +75,12 @@ rows=$(run query "anc(c0, Y)" | wc -l)
 rows=$(run query "anc(X, X)" | wc -l)
 [ "$rows" -eq 0 ] || fail "expected 0 rows for anc(X, X), got $rows"
 
+# A non-ground compound goal argument is refused: projecting f(X) as a
+# free column would also return answers that do not unify with it.
+if run query "anc(f(X), Y)" > /dev/null; then
+  fail "query anc(f(X), Y) was accepted"
+fi
+
 # APPLY extends the chain; the next read must see the new edge (the new
 # version is published before APPLY replies: no stale cache serve).
 printf '+par(c3, c4).\n' | run apply > /dev/null || fail "apply rejected"

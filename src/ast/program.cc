@@ -102,4 +102,16 @@ std::vector<int> QueryArgPattern(const Universe& u, const Query& query) {
   return result;
 }
 
+Status CheckQueryArgs(const Universe& u, const Query& query) {
+  for (TermId arg : query.goal.args) {
+    if (!u.terms().IsGround(arg) &&
+        u.terms().Get(arg).kind != TermKind::kVariable) {
+      return Status::InvalidArgument(
+          "goal argument " + u.TermToString(arg) +
+          " is neither ground nor a plain variable");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace magic

@@ -9,6 +9,7 @@
 #include "ast/sip_graph.h"
 #include "ast/term.h"
 #include "ast/universe.h"
+#include "util/status.h"
 
 namespace magic {
 
@@ -133,6 +134,13 @@ inline constexpr int kGroundArg = -1;
 /// index repeats a variable, which restricts the answers to tuples that
 /// agree on both positions.
 std::vector<int> QueryArgPattern(const Universe& u, const Query& query);
+
+/// InvalidArgument unless every goal argument is ground or a plain
+/// variable: the shapes QueryArgPattern describes. A non-ground compound
+/// such as q(f(X), Y) would need unification against each answer column,
+/// which the projection does not do, so such goals are refused rather
+/// than answered as if the compound were a free variable.
+Status CheckQueryArgs(const Universe& u, const Query& query);
 
 }  // namespace magic
 

@@ -1,7 +1,7 @@
 #include "cache/answer_cache.h"
 
 #include <bit>
-#include <thread>
+#include <iterator>
 #include <utility>
 
 #include "util/hash.h"
@@ -27,39 +27,25 @@ AnswerCache::~AnswerCache() = default;
 std::shared_ptr<const AnswerCache::Tuples> AnswerCache::Get(
     uintptr_t tag, std::span<const TermId> seed, uint64_t version) const {
   if (!enabled()) return nullptr;
-  const size_t hash = HashOf(tag, version, seed);
-  Shard& shard = ShardFor(hash);
-  std::shared_ptr<const Tuples> result;
-
-  // Reader registration (quiescent-state reclamation): the seq_cst
-  // fetch_add/table-load pair mirrors Put's seq_cst table-store/counter-
-  // load. Either the writer's counter read sees this reader (and defers
-  // reclaiming the table it retired), or this reader's table load is
-  // ordered after the writer's store and sees the new table — never a
-  // reclaimed one.
-  shard.active_readers.fetch_add(1, std::memory_order_seq_cst);
-  if (const Table* table = shard.table.load(std::memory_order_seq_cst)) {
-    auto it = table->find(KeyView{tag, version, seed});
-    if (it != table->end()) {
-      it->second->last_used.store(
-          tick_.fetch_add(1, std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      result = it->second->tuples;  // pins the payload past eviction
-    }
+  Shard& shard = ShardFor(HashOf(tag, version, seed));
+  MutexLock lock(shard.mutex);
+  auto it = shard.index.find(KeyView{tag, version, seed});
+  if (it == shard.index.end()) {
+    ++shard.stats.misses;
+    return nullptr;
   }
-  shard.active_readers.fetch_sub(1, std::memory_order_seq_cst);
-
-  (result ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  return result;
+  ++shard.stats.hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  return it->second->tuples;  // pins the payload past eviction
 }
 
 size_t AnswerCache::EntryBytes(const Key& key, const Tuples& tuples) {
   // An estimate, not an exact malloc audit: payload words plus container
-  // and hash-node overheads. Consistent over- vs under-counting matters
-  // more than precision — the budget is advisory sizing, not an OS limit.
-  constexpr size_t kNodeOverhead = 64;  // unordered_map node + bucket share
-  size_t bytes = kNodeOverhead + sizeof(Key) + sizeof(Entry) +
-                 sizeof(std::shared_ptr<Entry>) +
+  // and node overheads. Consistent over- vs under-counting matters more
+  // than precision — the budget is advisory sizing, not an OS limit.
+  // LRU links (16) + index node (56) + bucket share (8).
+  constexpr size_t kNodeOverhead = 80;
+  size_t bytes = kNodeOverhead + sizeof(Entry) +
                  key.seed.capacity() * sizeof(TermId) + sizeof(Tuples) +
                  tuples.capacity() * sizeof(std::vector<TermId>);
   for (const std::vector<TermId>& tuple : tuples) {
@@ -68,110 +54,56 @@ size_t AnswerCache::EntryBytes(const Key& key, const Tuples& tuples) {
   return bytes;
 }
 
-void AnswerCache::PublishTable(Shard& shard,
-                               std::unique_ptr<const Table> next) {
-  shard.table.store(next.get(), std::memory_order_seq_cst);
-  if (shard.current_owner != nullptr) {
-    shard.retired.push_back(std::move(shard.current_owner));
-  }
-  shard.current_owner = std::move(next);
-  // Quiescent point: every reader this load misses registered after the
-  // store above, so it can only hold the just-published table; everything
-  // retired earlier is unreachable and safe to free. A single opportunistic
-  // check usually suffices (reader sections are a handful of instructions),
-  // but under sustained reader traffic it can keep losing the race — so
-  // once the retired list has grown past a small bound, yield-wait for a
-  // genuinely quiescent instant instead of letting one retired table per
-  // Put pile up. Readers never take this mutex, so they drain freely.
-  constexpr size_t kRetiredSoftLimit = 8;
-  if (shard.active_readers.load(std::memory_order_seq_cst) == 0) {
-    shard.retired.clear();
-  } else if (shard.retired.size() > kRetiredSoftLimit) {
-    while (shard.active_readers.load(std::memory_order_seq_cst) != 0) {
-      std::this_thread::yield();
-    }
-    shard.retired.clear();
-  }
-}
-
 void AnswerCache::Put(uintptr_t tag, std::vector<TermId> seed, uint64_t version,
                       std::shared_ptr<const Tuples> tuples) {
   if (!enabled() || tuples == nullptr) return;
   Key key{tag, version, std::move(seed)};
-  const size_t hash = HashOf(key.tag, key.version, key.seed);
   const size_t bytes = EntryBytes(key, *tuples);
+  Shard& shard = ShardFor(HashOf(key.tag, key.version, key.seed));
+  // Declared before the lock so the evicted payloads are freed after the
+  // shard mutex is released.
+  Lru evicted;
+  MutexLock lock(shard.mutex);
   if (bytes > shard_budget_) {
-    rejected_oversize_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.stats.rejected_oversize;
     return;
   }
-  Shard& shard = ShardFor(hash);
-  MutexLock lock(shard.mutex);
-
-  // Copy-on-write: the published table is immutable, so build the next
-  // snapshot from it. O(entries per shard) per insert — the cache is for
-  // hit-dominated workloads, where Put is the rare path.
-  auto next = std::make_unique<Table>(
-      shard.current_owner != nullptr ? *shard.current_owner : Table{});
-  auto entry = std::make_shared<Entry>();
-  entry->tuples = std::move(tuples);
-  entry->bytes = bytes;
-  entry->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  auto [it, inserted] = next->try_emplace(std::move(key), std::move(entry));
-  if (!inserted) return;  // first writer wins; concurrent miss-fill race
-  shard.bytes += bytes;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-
-  // Byte-budgeted LRU: evict stalest entries until back under the shard's
-  // share. Ticks are unique, so while more than one entry remains the
-  // just-inserted entry (highest tick) is never the minimum.
-  while (shard.bytes > shard_budget_ && next->size() > 1) {
-    auto victim = next->end();
-    uint64_t oldest = 0;
-    for (auto cur = next->begin(); cur != next->end(); ++cur) {
-      uint64_t used = cur->second->last_used.load(std::memory_order_relaxed);
-      if (victim == next->end() || used < oldest) {
-        victim = cur;
-        oldest = used;
-      }
-    }
-    shard.bytes -= victim->second->bytes;
-    next->erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (shard.index.contains(key.view())) {
+    return;  // first writer wins; concurrent miss-fill race
   }
+  Entry& entry =
+      shard.lru.emplace_front(Entry{std::move(key), std::move(tuples), bytes});
+  shard.index.emplace(entry.key.view(), shard.lru.begin());
+  shard.stats.bytes += bytes;
+  ++shard.stats.inserts;
 
-  shard.bytes_published.store(shard.bytes, std::memory_order_relaxed);
-  shard.entries_published.store(next->size(), std::memory_order_relaxed);
-  PublishTable(shard, std::move(next));
-}
-
-void AnswerCache::Clear() {
-  if (!enabled()) return;
-  for (size_t i = 0; i <= shard_mask_; ++i) {
-    Shard& shard = shards_[i];
-    MutexLock lock(shard.mutex);
-    shard.bytes = 0;
-    shard.bytes_published.store(0, std::memory_order_relaxed);
-    shard.entries_published.store(0, std::memory_order_relaxed);
-    PublishTable(shard, nullptr);
+  // Byte-budgeted LRU: evict from the tail until back under the shard's
+  // share. An entry never exceeds the share alone, so the one just
+  // inserted at the front is never a victim.
+  while (shard.stats.bytes > shard_budget_) {
+    Entry& victim = shard.lru.back();
+    shard.index.erase(victim.key.view());
+    shard.stats.bytes -= victim.bytes;
+    ++shard.stats.evictions;
+    evicted.splice(evicted.begin(), shard.lru, std::prev(shard.lru.end()));
   }
 }
 
 AnswerCache::Stats AnswerCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.rejected_oversize =
-      rejected_oversize_.load(std::memory_order_relaxed);
-  stats.max_bytes = options_.max_bytes;
+  Stats total;
+  total.max_bytes = options_.max_bytes;
   for (size_t i = 0; i <= shard_mask_; ++i) {
-    stats.bytes += shards_[i].bytes_published.load(std::memory_order_relaxed);
-    stats.entries +=
-        shards_[i].entries_published.load(std::memory_order_relaxed);
+    Shard& shard = shards_[i];
+    MutexLock lock(shard.mutex);
+    total.hits += shard.stats.hits;
+    total.misses += shard.stats.misses;
+    total.inserts += shard.stats.inserts;
+    total.evictions += shard.stats.evictions;
+    total.rejected_oversize += shard.stats.rejected_oversize;
+    total.entries += shard.index.size();
+    total.bytes += shard.stats.bytes;
   }
-  return stats;
+  return total;
 }
 
 }  // namespace magic

@@ -2,9 +2,9 @@
 #define MAGIC_CACHE_ANSWER_CACHE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <list>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -22,8 +22,7 @@ struct AnswerCacheOptions {
   /// a no-op).
   size_t max_bytes = size_t{64} << 20;
   /// Shard count, rounded up to a power of two. More shards mean less
-  /// writer contention and smaller copy-on-write tables, at the cost of a
-  /// coarser (per-shard) LRU horizon.
+  /// lock contention, at the cost of a coarser (per-shard) LRU horizon.
   size_t shards = 16;
 };
 
@@ -43,22 +42,17 @@ struct AnswerCacheOptions {
 /// and age out of the byte-budgeted LRU.
 ///
 /// Concurrency contract:
-///   * Get is lock-free: a reader registers itself in a per-shard active
-///     counter (two atomic RMWs), loads the shard's atomically published
-///     immutable table snapshot, and copies out one shared_ptr — it never
-///     blocks on a writer and never takes a mutex. LRU recency is an
-///     atomic timestamp on the entry, stamped on hit.
-///   * Put serializes on the shard mutex. It copies the shard's table
-///     (copy-on-write), inserts, evicts least-recently-used entries while
-///     over the shard's byte share, and publishes the new snapshot with a
-///     seq_cst store. Retired snapshots are reclaimed once the reader
-///     counter has been observed at zero after the retirement — a reader
-///     registered later can only see the newer table (quiescent-state
-///     reclamation). The check is opportunistic per Put; if sustained
-///     reader traffic keeps losing it the race, the writer yield-waits
-///     for a quiescent instant once a small retired-list bound is
-///     exceeded, so memory stays bounded by the live table, a few
-///     retired snapshots, and whatever in-flight readers pin.
+///   * Each shard is one mutex (rank kCacheShard, a data-plane leaf:
+///     nothing ranked is taken under it) guarding a hash index and an
+///     exact LRU list. Get and Put both take it; every operation under it
+///     is O(1) apart from hashing and comparing the seed.
+///   * Get looks up a borrowed view of the key (no allocation), splices
+///     the entry to the front of the LRU list, and copies out one
+///     shared_ptr.
+///   * Put inserts at the front (first writer wins) and evicts from the
+///     tail while the shard is over its byte share. Evicted payloads are
+///     released after the shard mutex is dropped, so freeing a large
+///     answer never stalls that shard's readers.
 ///   * Answer payloads are immutable and shared_ptr-owned; a tuple set
 ///     returned by Get stays valid after the entry is evicted.
 class AnswerCache {
@@ -74,7 +68,7 @@ class AnswerCache {
   bool enabled() const { return options_.max_bytes != 0; }
 
   /// Returns the cached answer for (tag, seed, version), or null on a miss.
-  /// Lock-free; stamps the entry's recency on a hit.
+  /// Marks the entry most recently used on a hit.
   std::shared_ptr<const Tuples> Get(uintptr_t tag,
                                     std::span<const TermId> seed,
                                     uint64_t version) const;
@@ -85,12 +79,9 @@ class AnswerCache {
   void Put(uintptr_t tag, std::vector<TermId> seed, uint64_t version,
            std::shared_ptr<const Tuples> tuples);
 
-  /// Drops every entry (counters are kept).
-  void Clear();
-
-  /// Point-in-time counters. `hits`/`misses` count Get outcomes;
-  /// `inserts`/`evictions`/`rejected_oversize` count Put outcomes; `bytes`
-  /// and `entries` describe current occupancy.
+  /// Point-in-time counters, summed over the shards. `hits`/`misses` count
+  /// Get outcomes; `inserts`/`evictions`/`rejected_oversize` count Put
+  /// outcomes; `bytes` and `entries` describe current occupancy.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -104,83 +95,55 @@ class AnswerCache {
   Stats stats() const;
 
  private:
-  struct Key {
-    uintptr_t tag = 0;
-    uint64_t version = 0;
-    std::vector<TermId> seed;
-  };
-  /// Borrowed view of a Key, so the lock-free Get never allocates.
+  /// Borrowed view of a Key: the index's key type, so lookups never
+  /// allocate. An indexed view borrows the seed of its LRU node, which
+  /// never moves while the entry lives.
   struct KeyView {
     uintptr_t tag = 0;
     uint64_t version = 0;
     std::span<const TermId> seed;
   };
+  struct Key {
+    uintptr_t tag = 0;
+    uint64_t version = 0;
+    std::vector<TermId> seed;
+
+    KeyView view() const { return {tag, version, seed}; }
+  };
   static size_t HashOf(uintptr_t tag, uint64_t version,
                        std::span<const TermId> seed);
   struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const Key& key) const {
-      return HashOf(key.tag, key.version, key.seed);
-    }
     size_t operator()(const KeyView& key) const {
       return HashOf(key.tag, key.version, key.seed);
     }
   };
   struct KeyEqual {
-    using is_transparent = void;
-    static bool Eq(uintptr_t tag, uint64_t version,
-                   std::span<const TermId> seed, const Key& key) {
-      return key.tag == tag && key.version == version &&
-             std::equal(seed.begin(), seed.end(), key.seed.begin(),
-                        key.seed.end());
-    }
-    bool operator()(const Key& a, const Key& b) const {
-      return Eq(a.tag, a.version, a.seed, b);
-    }
-    bool operator()(const KeyView& a, const Key& b) const {
-      return Eq(a.tag, a.version, a.seed, b);
-    }
-    bool operator()(const Key& a, const KeyView& b) const {
-      return Eq(b.tag, b.version, b.seed, a);
+    bool operator()(const KeyView& a, const KeyView& b) const {
+      return a.tag == b.tag && a.version == b.version &&
+             std::equal(a.seed.begin(), a.seed.end(), b.seed.begin(),
+                        b.seed.end());
     }
   };
 
   struct Entry {
+    Key key;
     std::shared_ptr<const Tuples> tuples;
     size_t bytes = 0;
-    /// LRU recency: the cache-global tick at the last hit/insert. Written
-    /// lock-free from the hit path, read by the evictor under the shard
-    /// mutex — monotonicity is approximate and that is fine for LRU.
-    mutable std::atomic<uint64_t> last_used{0};
   };
-
-  /// Immutable once published; replaced wholesale by each Put.
-  using Table =
-      std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash, KeyEqual>;
+  /// Most recently used at the front.
+  using Lru = std::list<Entry>;
 
   struct Shard {
-    /// Seq_cst publication point of the current table (null = empty). The
-    /// seq_cst pairing with `active_readers` is what lets the writer prove
-    /// a quiescent point: it stores the new table, then reads the counter;
-    /// any reader it misses registered after the store and therefore loads
-    /// the new table, never a retired one.
-    std::atomic<const Table*> table{nullptr};
-    std::atomic<int64_t> active_readers{0};
-
-    /// Writer-side state. Shard mutexes are leaves of the data plane:
-    /// nothing ranked is ever taken under one.
     Mutex mutex{lock_rank::kCacheShard};
-    std::unique_ptr<const Table> current_owner GUARDED_BY(mutex);
-    std::vector<std::unique_ptr<const Table>> retired GUARDED_BY(mutex);
-    size_t bytes GUARDED_BY(mutex) = 0;
-
-    /// Occupancy mirrors for stats(), updated under mutex, read anywhere.
-    std::atomic<size_t> bytes_published{0};
-    std::atomic<size_t> entries_published{0};
+    std::unordered_map<KeyView, Lru::iterator, KeyHash, KeyEqual> index
+        GUARDED_BY(mutex);
+    Lru lru GUARDED_BY(mutex);
+    /// This shard's counters and occupancy (`entries` is index.size()).
+    Stats stats GUARDED_BY(mutex);
   };
 
   /// Shard selection uses the upper half of the hash so it stays
-  /// uncorrelated with the table's bucket index (which consumes the low
+  /// uncorrelated with the index's bucket index (which consumes the low
   /// bits) while still addressing every shard for any sane shard count.
   /// The shift is half the operand width, so it is well-defined (and
   /// non-degenerate) even where size_t is 32 bits.
@@ -188,24 +151,13 @@ class AnswerCache {
     constexpr int kHalf = std::numeric_limits<size_t>::digits / 2;
     return shards_[(hash >> kHalf) & shard_mask_];
   }
-  /// Publishes `next` as `shard`'s table and reclaims retired tables if
-  /// the shard is quiescent. Caller holds the shard mutex.
-  static void PublishTable(Shard& shard, std::unique_ptr<const Table> next)
-      REQUIRES(shard.mutex);
 
   static size_t EntryBytes(const Key& key, const Tuples& tuples);
 
   AnswerCacheOptions options_;
   size_t shard_mask_ = 0;
   size_t shard_budget_ = 0;  // max_bytes / shard count
-  mutable std::unique_ptr<Shard[]> shards_;
-  mutable std::atomic<uint64_t> tick_{0};
-
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> rejected_oversize_{0};
+  std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace magic

@@ -5,6 +5,9 @@ namespace magic {
 Result<PreparedQueryForm> PreparedQueryForm::Prepare(
     const Program& program, const Query& exemplar,
     const EngineOptions& options) {
+  if (Status st = CheckQueryArgs(*program.universe(), exemplar); !st.ok()) {
+    return st;
+  }
   Result<std::shared_ptr<const CompiledPlan>> plan =
       CompiledPlan::Compile(program, exemplar, options);
   if (!plan.ok()) return plan.status();

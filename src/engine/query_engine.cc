@@ -274,6 +274,11 @@ QueryAnswer QueryEngine::Run(
   QueryAnswer answer;
   answer.strategy_name = StrategyName(options_.strategy);
   Universe& u = *program.universe();
+  answer.status = CheckQueryArgs(u, query);
+  if (!answer.status.ok()) {
+    answer.outcome = AnswerStatus::kError;
+    return answer;
+  }
 
   // When any bound or sink is active, evaluation runs under an EvalControl
   // whose on_fact hook filters/projects answer rows as they are derived;

@@ -566,6 +566,17 @@ void QueryService::DispatchForm(CachedForm* cached,
 
 void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
                             bool enforce_admission, Completion done) {
+  // Checked before the form key is built: a compound goal argument would
+  // otherwise share the key (and the cached plan) of a plain variable.
+  if (Status st = CheckQueryArgs(*program_.universe(), request.query);
+      !st.ok()) {
+    QueryAnswer answer;
+    answer.status = std::move(st);
+    answer.outcome = AnswerStatus::kError;
+    queries_served_->Add();
+    done(std::move(answer));
+    return;
+  }
   // Base-predicate queries are direct selections over the EDB; any strategy
   // serves them without compilation.
   if (!program_.IsHeadPredicate(request.query.goal.pred)) {
@@ -628,6 +639,10 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
 
 Result<QueryService::FormHandle> QueryService::Prepare(
     const QueryRequest& request) {
+  if (Status st = CheckQueryArgs(*program_.universe(), request.query);
+      !st.ok()) {
+    return st;
+  }
   if (!program_.IsHeadPredicate(request.query.goal.pred)) {
     return Status::InvalidArgument(
         "base-predicate queries need no preparation; use Submit/Answer "

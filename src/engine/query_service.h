@@ -183,11 +183,11 @@ class AnswerCursor {
 ///     above form in the Debug rank checker (util/annotated_mutex.h), so
 ///     the reverse nesting aborts.
 ///   * Workers key every AnswerCache fill to the version they pinned —
-///     by construction the data they actually read. The lock-free inline
-///     hit path probes at the chain's current version number; serving a
-///     hit concurrent with a publish is linearizable (the read overlapped
-///     the write), and post-write reads are fresh because publish
-///     happens-before ApplyWrites returns.
+///     by construction the data they actually read. The inline hit path
+///     (one cache shard lock, no pin) probes at the chain's current
+///     version number; serving a hit concurrent with a publish is
+///     linearizable (the read overlapped the write), and post-write reads
+///     are fresh because publish happens-before ApplyWrites returns.
 ///   * Worker-side term interning (the matcher's affine/compound
 ///     construction) is safe because TermArena is internally synchronized.
 ///   * Answer sinks and cursor buffers are touched only by the evaluating
@@ -597,8 +597,9 @@ class QueryService {
   /// which a monotonic counter cannot express.
   std::atomic<size_t> pending_{0};
 
-  /// Cross-query answer memo; internally synchronized (lock-free hit
-  /// path), so it sits outside the serve/form lock order entirely.
+  /// Cross-query answer memo; internally synchronized by per-shard leaf
+  /// mutexes (kCacheShard) that nest nothing, so it sits below the
+  /// serve/form lock order.
   AnswerCache cache_;
 
   ThreadPool pool_;

@@ -78,6 +78,9 @@ inline constexpr int kSymbolRoot = 450;
 inline constexpr int kOverlayStep = 10;
 inline constexpr int kRelationIndex = 500;  // Relation::index_mutex_
 inline constexpr int kTermArena = 520;      // TermArena::mutex_
+/// AnswerCache shard mutexes. Taken by fills and also by every cache
+/// probe, including the inline hit path on the calling thread; still a
+/// data-plane leaf: nothing ranked is acquired under one.
 inline constexpr int kCacheShard = 560;     // AnswerCache::Shard::mutex
 inline constexpr int kPool = 600;           // ThreadPool::mutex_
 inline constexpr int kCursor = 640;         // AnswerCursor::State::mutex

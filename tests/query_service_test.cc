@@ -890,6 +890,70 @@ TEST(QueryServiceTest, RepeatedVariableFormIsItsOwnForm) {
   EXPECT_EQ(service.stats().forms_compiled, 2u);
 }
 
+TEST(QueryServiceTest, NonGroundCompoundGoalArgumentsAreRejected) {
+  // Projection treats a non-ground goal argument as a free column, so
+  // q(f(X), Y) would also answer p(g(a), c), which does not unify with
+  // f(X). Every entry point refuses such goals instead — the single-shot
+  // engine under every strategy and the service on both tiers alike.
+  const Strategy kAllStrategies[] = {
+      Strategy::kNaiveBottomUp,      Strategy::kSemiNaiveBottomUp,
+      Strategy::kMagic,              Strategy::kSupplementaryMagic,
+      Strategy::kCounting,           Strategy::kSupplementaryCounting,
+      Strategy::kCountingSemijoin,   Strategy::kSupCountingSemijoin,
+      Strategy::kTopDown,
+  };
+  for (const char* goal : {"q(f(X), Y)", "p(f(X), Y)"}) {
+    SCOPED_TRACE(goal);
+    auto parsed = ParseUnit(
+        "p(f(a), b). p(g(a), c). p(f(c), d).\n"
+        "q(X, Y) :- p(X, Y).\n"
+        "?- " + std::string(goal) + ".");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    Database db(parsed->program.universe());
+    for (const Fact& fact : parsed->facts) ASSERT_TRUE(db.AddFact(fact).ok());
+
+    for (Strategy strategy : kAllStrategies) {
+      SCOPED_TRACE(StrategyName(strategy));
+      EngineOptions engine_options;
+      engine_options.strategy = strategy;
+      QueryAnswer direct = QueryEngine(engine_options)
+                               .Run(parsed->program, *parsed->query, db);
+      EXPECT_EQ(direct.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(direct.outcome, AnswerStatus::kError);
+      EXPECT_TRUE(direct.tuples.empty());
+    }
+
+    QueryServiceOptions options;
+    options.num_threads = 2;
+    QueryService service(parsed->program, db, options);
+    QueryRequest request;
+    request.query = *parsed->query;
+    EXPECT_EQ(service.Prepare(request).status().code(),
+              StatusCode::kInvalidArgument);
+    QueryAnswer served = service.Answer(request);
+    EXPECT_EQ(served.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(served.tuples.empty());
+    AnswerCursor cursor = service.Stream(request);
+    EXPECT_TRUE(Drain(cursor).empty());
+    EXPECT_EQ(cursor.Finish().status.code(), StatusCode::kInvalidArgument);
+  }
+
+  // A ground compound argument is a bound seed and keeps working.
+  Workload w = MakeListReverse(3);
+  QueryAnswer direct = QueryEngine().Run(w.program, w.query, w.db);
+  ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
+  ASSERT_EQ(direct.tuples.size(), 1u);
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  QueryService service(w.program, w.db, options);
+  QueryRequest request;
+  request.query = w.query;
+  EXPECT_TRUE(service.Prepare(request).ok());
+  QueryAnswer served = service.Answer(request);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_EQ(served.tuples, direct.tuples);
+}
+
 TEST(QueryServiceTest, TruncatedAnswersAreNeverCached) {
   Workload w = MakeAncestorChain(32);
   Universe& u = *w.universe;
