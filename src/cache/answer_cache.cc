@@ -4,6 +4,7 @@
 #include <iterator>
 #include <utility>
 
+#include "util/check.h"
 #include "util/hash.h"
 
 namespace magic {
@@ -12,6 +13,16 @@ size_t AnswerCache::HashOf(uintptr_t tag, uint64_t version,
                            std::span<const TermId> seed) {
   uint64_t h = HashCombine(static_cast<uint64_t>(tag), version);
   return static_cast<size_t>(HashRange(seed.begin(), seed.end(), h));
+}
+
+AnswerCache::Tuples::Tuples(const std::vector<std::vector<TermId>>& rows)
+    : arity_(rows.empty() ? 0 : static_cast<uint32_t>(rows[0].size())),
+      rows_(rows.size()) {
+  data_.reserve(rows_ * arity_);
+  for (const std::vector<TermId>& row : rows) {
+    MAGIC_CHECK(row.size() == arity_);
+    data_.insert(data_.end(), row.begin(), row.end());
+  }
 }
 
 AnswerCache::AnswerCache(AnswerCacheOptions options)
@@ -40,18 +51,14 @@ std::shared_ptr<const AnswerCache::Tuples> AnswerCache::Get(
 }
 
 size_t AnswerCache::EntryBytes(const Key& key, const Tuples& tuples) {
-  // An estimate, not an exact malloc audit: payload words plus container
-  // and node overheads. Consistent over- vs under-counting matters more
-  // than precision — the budget is advisory sizing, not an OS limit.
-  // LRU links (16) + index node (56) + bucket share (8).
-  constexpr size_t kNodeOverhead = 80;
-  size_t bytes = kNodeOverhead + sizeof(Entry) +
-                 key.seed.capacity() * sizeof(TermId) + sizeof(Tuples) +
-                 tuples.capacity() * sizeof(std::vector<TermId>);
-  for (const std::vector<TermId>& tuple : tuples) {
-    bytes += tuple.capacity() * sizeof(TermId);
-  }
-  return bytes;
+  // Real bytes, allocator headers aside: the two id arrays' capacities,
+  // the Entry in its LRU node (16: two links), the index node (56: next
+  // link, KeyView, iterator, cached hash) and its bucket slot (8), and the
+  // make_shared block around the Tuples (16: vtable pointer, two counts).
+  constexpr size_t kNodeOverhead = 16 + 56 + 8;
+  constexpr size_t kControlBlock = 16;
+  return kNodeOverhead + sizeof(Entry) + kControlBlock + sizeof(Tuples) +
+         key.seed.capacity() * sizeof(TermId) + tuples.heap_bytes();
 }
 
 void AnswerCache::Put(uintptr_t tag, std::vector<TermId> seed, uint64_t version,

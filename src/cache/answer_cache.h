@@ -16,10 +16,11 @@
 namespace magic {
 
 struct AnswerCacheOptions {
-  /// Total byte budget across all shards (answers + key/entry overhead,
-  /// estimated). An entry whose own footprint exceeds the per-shard share
-  /// is not cached at all. 0 disables the cache (Get always misses, Put is
-  /// a no-op).
+  /// Total byte budget across all shards, in real bytes: each entry counts
+  /// its flat tuple array's capacity, its seed, and the fixed size of its
+  /// entry, index and LRU nodes and payload control block. An entry whose
+  /// own footprint exceeds the per-shard share is not cached at all. 0
+  /// disables the cache (Get always misses, Put is a no-op).
   size_t max_bytes = size_t{64} << 20;
   /// Shard count, rounded up to a power of two. More shards mean less
   /// lock contention, at the cost of a coarser (per-shard) LRU horizon.
@@ -41,6 +42,10 @@ struct AnswerCacheOptions {
 /// no sweep, no lock on the write path. Stale entries stop being touched
 /// and age out of the byte-budgeted LRU.
 ///
+/// Each answer is one flat, arity-strided array (Tuples), so a fill is one
+/// allocation, an eviction one free, and an entry's footprint (what
+/// Stats::bytes and the budget count) is its real size, computed in O(1).
+///
 /// Concurrency contract:
 ///   * Each shard is one mutex (rank kCacheShard, a data-plane leaf:
 ///     nothing ranked is taken under it) guarding a hash index and an
@@ -57,7 +62,28 @@ struct AnswerCacheOptions {
 ///     returned by Get stays valid after the entry is evicted.
 class AnswerCache {
  public:
-  using Tuples = std::vector<std::vector<TermId>>;
+  /// One cached answer: an immutable array of `size()` tuples of
+  /// `arity()` ids each, stored flat (tuple i is ids [i * arity,
+  /// (i + 1) * arity)) in the caller's order.
+  class Tuples {
+   public:
+    /// Copies `rows` flat. Every row must have the first row's arity (an
+    /// empty `rows` gives arity 0).
+    explicit Tuples(const std::vector<std::vector<TermId>>& rows);
+
+    size_t size() const { return rows_; }
+    uint32_t arity() const { return arity_; }
+    std::span<const TermId> operator[](size_t i) const {
+      return {data_.data() + i * arity_, arity_};
+    }
+    /// Heap bytes of the flat array.
+    size_t heap_bytes() const { return data_.capacity() * sizeof(TermId); }
+
+   private:
+    uint32_t arity_ = 0;
+    size_t rows_ = 0;
+    std::vector<TermId> data_;
+  };
 
   explicit AnswerCache(AnswerCacheOptions options = {});
   ~AnswerCache();

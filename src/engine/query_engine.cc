@@ -1,6 +1,7 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "ast/printer.h"
@@ -70,11 +71,40 @@ AnswerStatus ClassifyOutcome(StopReason stop, const Status& status) {
 
 namespace {
 
-std::vector<std::vector<TermId>> SortedUnique(
-    std::vector<std::vector<TermId>> tuples) {
-  std::sort(tuples.begin(), tuples.end());
-  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
-  return tuples;
+/// The projections of `rel`'s answer rows, sorted and deduplicated.
+/// Projects into one flat buffer and sorts the row order there, so the
+/// only per-answer allocation is the output vector itself.
+std::vector<std::vector<TermId>> ProjectSortedUnique(
+    const AnswerProjector& projector, const Relation& rel) {
+  const size_t arity = projector.arity();
+  std::vector<TermId> flat;
+  std::vector<TermId> projected;
+  size_t rows = 0;
+  for (size_t row = 0; row < rel.size(); ++row) {
+    if (projector.Project(rel.Row(row), &projected)) {
+      flat.insert(flat.end(), projected.begin(), projected.end());
+      ++rows;
+    }
+  }
+  auto row_at = [&](uint32_t r) { return flat.data() + r * arity; };
+  auto less = [&](uint32_t a, uint32_t b) {
+    const TermId* x = row_at(a);
+    const TermId* y = row_at(b);
+    for (size_t i = 0; i < arity; ++i) {
+      if (x[i] != y[i]) return x[i] < y[i];
+    }
+    return false;
+  };
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), less);
+  std::vector<std::vector<TermId>> out;
+  out.reserve(rows);
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i > 0 && !less(order[i - 1], order[i])) continue;  // duplicate
+    out.emplace_back(row_at(order[i]), row_at(order[i]) + arity);
+  }
+  return out;
 }
 
 /// Pairs each per-rule profile with the rule's text from the program the
@@ -187,34 +217,17 @@ std::vector<std::vector<TermId>> AnswerCollector::TakeSorted() {
 std::vector<std::vector<TermId>> ExtractAnswers(
     const Universe& u, const RewrittenProgram& rewritten, const Query& query,
     const EvalResult& eval) {
-  std::vector<std::vector<TermId>> out;
   auto it = eval.idb.find(rewritten.answer_pred);
-  if (it == eval.idb.end()) return out;
-  const Relation& rel = it->second;
-  AnswerProjector projector =
-      AnswerProjector::ForRewritten(u, rewritten, query);
-  std::vector<TermId> projected;
-  for (size_t row = 0; row < rel.size(); ++row) {
-    if (projector.Project(rel.Row(row), &projected)) {
-      out.push_back(projected);
-    }
-  }
-  return SortedUnique(std::move(out));
+  if (it == eval.idb.end()) return {};
+  return ProjectSortedUnique(
+      AnswerProjector::ForRewritten(u, rewritten, query), it->second);
 }
 
 std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
                                                       const Query& query,
                                                       const Relation* rel) {
-  std::vector<std::vector<TermId>> out;
-  if (rel == nullptr) return out;
-  AnswerProjector projector = AnswerProjector::ForDirect(u, query);
-  std::vector<TermId> projected;
-  for (size_t row = 0; row < rel->size(); ++row) {
-    if (projector.Project(rel->Row(row), &projected)) {
-      out.push_back(projected);
-    }
-  }
-  return SortedUnique(std::move(out));
+  if (rel == nullptr) return {};
+  return ProjectSortedUnique(AnswerProjector::ForDirect(u, query), *rel);
 }
 
 Result<RewrittenProgram> QueryEngine::Rewrite(const AdornedProgram& adorned,

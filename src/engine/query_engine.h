@@ -209,6 +209,9 @@ class AnswerProjector {
   bool Project(std::span<const TermId> tuple,
                std::vector<TermId>* out) const;
 
+  /// Length of every projected tuple (the query's free positions).
+  size_t arity() const { return free_columns_.size(); }
+
  private:
   AnswerProjector() = default;
 

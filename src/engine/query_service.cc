@@ -342,16 +342,20 @@ void QueryService::ServeHit(CachedForm* cached,
   if (limit_hit) serve = static_cast<size_t>(limits.row_limit);
   bool sink_stopped = false;
   if (sink) {
+    std::vector<TermId> row;  // reused: the sink sees one tuple at a time
     for (size_t i = 0; i < serve; ++i) {
-      if (!sink((*tuples)[i])) {
+      row.assign((*tuples)[i].begin(), (*tuples)[i].end());
+      if (!sink(row)) {
         serve = i + 1;
         sink_stopped = true;
         break;
       }
     }
   } else {
-    answer.tuples.assign(tuples->begin(),
-                         tuples->begin() + static_cast<ptrdiff_t>(serve));
+    answer.tuples.reserve(serve);
+    for (size_t i = 0; i < serve; ++i) {
+      answer.tuples.emplace_back((*tuples)[i].begin(), (*tuples)[i].end());
+    }
   }
   answer.outcome = (limit_hit || sink_stopped) ? AnswerStatus::kTruncated
                                                : AnswerStatus::kOk;
@@ -532,15 +536,10 @@ void QueryService::DispatchForm(CachedForm* cached,
     // (sinks see derivation order).
     if (cache_.enabled() && answer.status.ok() &&
         answer.outcome == AnswerStatus::kOk) {
-      auto tuples = std::make_shared<AnswerCache::Tuples>();
-      if (collect) {
-        std::sort(collected.begin(), collected.end());
-        *tuples = std::move(collected);
-      } else {
-        *tuples = answer.tuples;
-      }
+      if (collect) std::sort(collected.begin(), collected.end());
       cache_.Put(CacheTag(cached->form.get()), bound_values, version,
-                 std::move(tuples));
+                 std::make_shared<const AnswerCache::Tuples>(
+                     collect ? collected : answer.tuples));
     }
     queries_served_->Add();
     if (trace != nullptr) {

@@ -14,11 +14,16 @@ namespace {
 /// key table.
 constexpr size_t kMinSlots = 16;
 
+/// Most rows of a probe window prefetched when the window opens: enough
+/// to overlap the first rows' cache misses, too few for a huge bucket to
+/// flood the cache.
+constexpr ptrdiff_t kPrefetchRows = 16;
+
 }  // namespace
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
-      zero_ary_count_(other.zero_ary_count_),
+      rows_(other.rows_),
       slots_(other.slots_),
       slot_shift_(other.slot_shift_) {
   // The clone keeps the source's row capacity, not just its rows (its
@@ -74,8 +79,11 @@ size_t Relation::FindSlot(std::span<const TermId> tuple,
   for (size_t slot = HomeSlot(hash);; slot = (slot + 1) & mask) {
     const uint32_t id = slots_[slot];
     if (id == 0) return slot;
+    // A plain loop: std::equal becomes a memcmp call per chain step.
     const TermId* r = data_.data() + static_cast<size_t>(id - 1) * arity_;
-    if (std::equal(tuple.begin(), tuple.end(), r)) return slot;
+    uint32_t i = 0;
+    while (i < arity_ && r[i] == tuple[i]) ++i;
+    if (i == arity_) return slot;
   }
 }
 
@@ -119,8 +127,8 @@ void Relation::EraseSlot(size_t hole) {
 bool Relation::Insert(std::span<const TermId> tuple) {
   MAGIC_CHECK(tuple.size() == arity_);
   if (arity_ == 0) {
-    if (zero_ary_count_ > 0) return false;
-    zero_ary_count_ = 1;
+    if (rows_ > 0) return false;
+    rows_ = 1;
     return true;
   }
   // Grow first, so the table stays at most 3/4 full with the new row in
@@ -131,14 +139,15 @@ bool Relation::Insert(std::span<const TermId> tuple) {
   const uint32_t row = CheckedRowId(size());
   data_.insert(data_.end(), tuple.begin(), tuple.end());
   slots_[slot] = row + 1;
+  ++rows_;
   return true;
 }
 
 bool Relation::Retract(std::span<const TermId> tuple) {
   MAGIC_CHECK(tuple.size() == arity_);
   if (arity_ == 0) {
-    if (zero_ary_count_ == 0) return false;
-    zero_ary_count_ = 0;
+    if (rows_ == 0) return false;
+    rows_ = 0;
     return true;
   }
   if (slots_.empty()) return false;
@@ -159,6 +168,7 @@ bool Relation::Retract(std::span<const TermId> tuple) {
               data_.begin() + static_cast<ptrdiff_t>(row) * arity_);
   }
   data_.resize(static_cast<size_t>(last) * arity_);
+  rows_ = last;
   // The per-mask indices hold stale ids for the moved row; mark each for
   // a from-scratch rebuild (one flag store per index — the bucket clear
   // itself happens once, inside the next ExtendIndex). The sentinel can
@@ -176,7 +186,7 @@ bool Relation::Retract(std::span<const TermId> tuple) {
 void Relation::Clear() {
   if (size() == 0) return;  // already empty: keep the built indices warm
   data_.clear();
-  zero_ary_count_ = 0;
+  rows_ = 0;
   std::fill(slots_.begin(), slots_.end(), 0);
   // Drop all indices: the watermark design only supports appends, so a
   // truncation must start index state from scratch. Exclusive access means
@@ -201,7 +211,7 @@ std::optional<uint32_t> Relation::FindRow(
     std::span<const TermId> tuple) const {
   MAGIC_CHECK(tuple.size() == arity_);
   if (arity_ == 0) {
-    if (zero_ary_count_ > 0) return 0u;
+    if (rows_ > 0) return 0u;
     return std::nullopt;
   }
   if (slots_.empty()) return std::nullopt;
@@ -333,14 +343,12 @@ const Relation::Index* Relation::EnsureIndex(uint64_t mask) const {
 void Relation::Probe(uint64_t mask, std::span<const TermId> key,
                      size_t from_row, size_t to_row,
                      std::vector<uint32_t>* out) const {
-  MAGIC_CHECK(to_row <= size());
-  if (mask == kNoMask) {
-    for (size_t row = from_row; row < to_row; ++row) {
-      out->push_back(static_cast<uint32_t>(row));
-    }
-    return;
+  // The rows are copied out before the cursor is dropped, so the caller
+  // may grow this relation afterwards (the self-literal case).
+  Cursor c = OpenProbe(mask, key, from_row, to_row);
+  for (uint32_t row = c.Next(); row != Cursor::kDone; row = c.Next()) {
+    out->push_back(row);
   }
-  ProbeIndex(*EnsureIndex(mask), key, mask, from_row, to_row, out);
 }
 
 Relation::Cursor Relation::OpenProbe(uint64_t mask,
@@ -361,42 +369,24 @@ Relation::Cursor Relation::OpenProbe(uint64_t mask,
   // Listed rows ascend, so the window's start is a binary search and its
   // end is the Next() early-out at to_.
   const uint32_t* rows = index->arena.data() + entry->begin;
+  const uint32_t* end = rows + entry->size;
+  const uint32_t* first =
+      std::lower_bound(rows, end, static_cast<uint32_t>(from_row));
+  // Start the loads of the window's first rows together: Next() would
+  // otherwise take each row's cache miss alone, after the caller's work
+  // on the row before.
+  const uint32_t* stop =
+      first + std::min<ptrdiff_t>(end - first, kPrefetchRows);
+  for (const uint32_t* it = first; it != stop && *it < to_row; ++it) {
+    __builtin_prefetch(data_.data() + static_cast<size_t>(*it) * arity_);
+  }
   c.bucket_ = rows;
-  c.pos_ = static_cast<size_t>(
-      std::lower_bound(rows, rows + entry->size,
-                       static_cast<uint32_t>(from_row)) -
-      rows);
+  c.pos_ = static_cast<size_t>(first - rows);
   c.end_ = entry->size;
   c.to_ = to_row;
   c.mask_ = mask;
   c.key_ = key.data();
   return c;
-}
-
-void Relation::ProbeIndex(const Index& index, std::span<const TermId> key,
-                          uint64_t mask, size_t from_row, size_t to_row,
-                          std::vector<uint32_t>* out) const {
-  const Index::Entry* entry = index.Find(HashRange(key.begin(), key.end()));
-  if (entry == nullptr) return;
-  // Listed rows are in ascending order; verify key equality per row (the
-  // list is keyed by hash only).
-  const uint32_t* rows = index.arena.data() + entry->begin;
-  for (uint32_t row : std::span<const uint32_t>(rows, entry->size)) {
-    if (row < from_row) continue;
-    if (row >= to_row) break;
-    std::span<const TermId> r = Row(row);
-    bool equal = true;
-    size_t k = 0;
-    for (uint32_t i = 0; i < arity_; ++i) {
-      if (mask & (uint64_t{1} << i)) {
-        if (r[i] != key[k++]) {
-          equal = false;
-          break;
-        }
-      }
-    }
-    if (equal) out->push_back(row);
-  }
 }
 
 }  // namespace magic

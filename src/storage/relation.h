@@ -80,7 +80,7 @@ class Relation {
   Relation& operator=(const Relation&) = delete;
 
   uint32_t arity() const { return arity_; }
-  size_t size() const { return arity_ == 0 ? zero_ary_count_ : data_.size() / arity_; }
+  size_t size() const { return rows_; }
 
   /// Inserts a tuple; returns true if it was new.
   bool Insert(std::span<const TermId> tuple);
@@ -118,7 +118,9 @@ class Relation {
 
   /// Appends to `out` the rows in [from_row, to_row) whose columns selected
   /// by `mask` (bit i = column i) equal `key[k]` for the k-th set bit.
-  /// Builds/extends the index for `mask` on demand.
+  /// Builds/extends the index for `mask` on demand. The copy-out form of
+  /// OpenProbe (it drains one cursor), for callers that grow this
+  /// relation while they still use the rows.
   void Probe(uint64_t mask, std::span<const TermId> key, size_t from_row,
              size_t to_row, std::vector<uint32_t>* out) const;
 
@@ -249,9 +251,6 @@ class Relation {
   /// Empties `slot` by backward-shift deletion.
   void EraseSlot(size_t slot);
   void ExtendIndex(uint64_t mask, Index* index) const REQUIRES(index_mutex_);
-  void ProbeIndex(const Index& index, std::span<const TermId> key,
-                  uint64_t mask, size_t from_row, size_t to_row,
-                  std::vector<uint32_t>* out) const;
   /// Returns the index for `mask`, built up to the current row count
   /// (lock-free when already current; mutex-guarded build otherwise).
   const Index* EnsureIndex(uint64_t mask) const;
@@ -272,7 +271,9 @@ class Relation {
 
   uint32_t arity_;
   std::vector<TermId> data_;
-  size_t zero_ary_count_ = 0;  // 0-ary relations hold at most one tuple
+  /// Row count, kept beside data_ so size() is a load, not a division
+  /// (0-ary relations hold at most one row and no data).
+  size_t rows_ = 0;
   /// Dedup table: row + 1 per occupied slot, 0 when empty (see the class
   /// comment). slot_shift_ = 64 - log2(slots_.size()).
   std::vector<uint32_t> slots_;

@@ -19,19 +19,29 @@ using Tuples = AnswerCache::Tuples;
 
 std::shared_ptr<const Tuples> MakeTuples(
     std::initializer_list<std::initializer_list<TermId>> rows) {
-  auto tuples = std::make_shared<Tuples>();
-  for (const auto& row : rows) tuples->emplace_back(row);
-  return tuples;
+  std::vector<std::vector<TermId>> tuples;
+  for (const auto& row : rows) tuples.emplace_back(row);
+  return std::make_shared<const Tuples>(tuples);
 }
 
-/// A payload of `rows` single-column tuples, for byte-budget tests.
+/// A payload of `rows` two-column tuples, for byte-budget tests.
 std::shared_ptr<const Tuples> MakeBulk(size_t rows, TermId value) {
-  auto tuples = std::make_shared<Tuples>();
-  tuples->reserve(rows);  // pin capacity so the byte estimate is stable
+  std::vector<std::vector<TermId>> tuples;
   for (size_t i = 0; i < rows; ++i) {
-    tuples->push_back({value, static_cast<TermId>(i)});
+    tuples.push_back({value, static_cast<TermId>(i)});
   }
-  return tuples;
+  return std::make_shared<const Tuples>(tuples);
+}
+
+/// The bytes one entry for (seed, tuples) adds to a cache: measured, not
+/// computed, so the budget tests hold whatever the per-entry overhead.
+size_t Footprint(std::vector<TermId> seed,
+                 std::shared_ptr<const Tuples> tuples) {
+  AnswerCacheOptions options;
+  options.shards = 1;
+  AnswerCache probe(options);
+  probe.Put(1, std::move(seed), 1, std::move(tuples));
+  return probe.stats().bytes;
 }
 
 constexpr uintptr_t kFormA = 0x1000;
@@ -91,10 +101,11 @@ TEST(AnswerCacheTest, FirstWriterWinsOnDuplicatePut) {
 
 TEST(AnswerCacheTest, ByteBudgetedLruEviction) {
   // One shard so the LRU horizon is global and deterministic; a budget
-  // that fits two bulk entries (~1.8 KB each) but not three.
+  // that fits two bulk entries but not three.
+  const size_t one = Footprint({1}, MakeBulk(50, 1));
   AnswerCacheOptions options;
   options.shards = 1;
-  options.max_bytes = 4200;
+  options.max_bytes = 2 * one + one / 2;
   AnswerCache cache(options);
 
   std::vector<TermId> s1 = {1}, s2 = {2}, s3 = {3};
@@ -117,9 +128,10 @@ TEST(AnswerCacheTest, ByteBudgetedLruEviction) {
 }
 
 TEST(AnswerCacheTest, PayloadOutlivesEviction) {
+  const size_t one = Footprint({1}, MakeBulk(50, 1));
   AnswerCacheOptions options;
   options.shards = 1;
-  options.max_bytes = 2500;  // fits one ~1.8 KB bulk entry, not two
+  options.max_bytes = one + one / 2;  // fits one bulk entry, not two
   AnswerCache cache(options);
 
   std::vector<TermId> s1 = {1}, s2 = {2};
@@ -132,6 +144,53 @@ TEST(AnswerCacheTest, PayloadOutlivesEviction) {
   // The shared_ptr returned before the eviction still reads valid data.
   EXPECT_EQ(pinned->size(), 50u);
   EXPECT_EQ((*pinned)[0][0], 1u);
+}
+
+TEST(AnswerCacheTest, BytesAreRealAndEvictionFreesTheVictimsFootprint) {
+  // A row costs exactly its ids: the flat array is the whole payload.
+  EXPECT_EQ(Footprint({1}, MakeBulk(100, 1)) - Footprint({1}, MakeBulk(50, 1)),
+            50 * 2 * sizeof(TermId));
+
+  const std::vector<TermId> s1 = {1}, s2 = {2}, s3 = {3}, s4 = {4};
+  const auto t1 = MakeBulk(10, 1), t2 = MakeBulk(50, 2), t3 = MakeBulk(20, 3),
+             t4 = MakeBulk(30, 4);
+  const size_t f1 = Footprint(s1, t1), f2 = Footprint(s2, t2),
+               f3 = Footprint(s3, t3), f4 = Footprint(s4, t4);
+  // Room for all four but one byte: the fourth Put evicts exactly the
+  // least recently used entry, s1.
+  AnswerCacheOptions options;
+  options.shards = 1;
+  options.max_bytes = f1 + f2 + f3 + f4 - 1;
+  AnswerCache cache(options);
+  cache.Put(kFormA, s1, 1, t1);
+  cache.Put(kFormA, s2, 1, t2);
+  cache.Put(kFormA, s3, 1, t3);
+  ASSERT_EQ(cache.stats().bytes, f1 + f2 + f3);
+  ASSERT_EQ(cache.stats().evictions, 0u);
+
+  cache.Put(kFormA, s4, 1, t4);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().bytes, f2 + f3 + f4);
+  EXPECT_EQ(cache.Get(kFormA, s1, 1), nullptr);
+  EXPECT_NE(cache.Get(kFormA, s2, 1), nullptr);
+}
+
+TEST(AnswerCacheTest, ZeroRowAndZeroArityAnswersRoundTrip) {
+  AnswerCache cache;
+  const std::vector<TermId> none = {1}, ground = {2};
+  // No answers at all, and one empty tuple (a ground goal that holds).
+  cache.Put(kFormA, none, 1, MakeTuples({}));
+  cache.Put(kFormA, ground, 1, MakeTuples({{}}));
+
+  auto empty = cache.Get(kFormA, none, 1);
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->size(), 0u);
+
+  auto holds = cache.Get(kFormA, ground, 1);
+  ASSERT_NE(holds, nullptr);
+  EXPECT_EQ(holds->size(), 1u);
+  EXPECT_EQ(holds->arity(), 0u);
+  EXPECT_TRUE((*holds)[0].empty());
 }
 
 TEST(AnswerCacheTest, OversizedAnswersAreNotCached) {
@@ -203,8 +262,9 @@ TEST(AnswerCacheTest, EightThreadMixedHitMissInvalidateHammer) {
               wrong_payloads.fetch_add(1, std::memory_order_relaxed);
             }
           } else {
-            auto tuples = std::make_shared<Tuples>();
-            tuples->push_back({seed[0], static_cast<TermId>(version)});
+            auto tuples = std::make_shared<const Tuples>(
+                std::vector<std::vector<TermId>>{
+                    {seed[0], static_cast<TermId>(version)}});
             cache.Put(tag, std::move(seed), version, std::move(tuples));
           }
         } else if (roll < 95) {  // pure lookup

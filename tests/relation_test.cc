@@ -182,6 +182,24 @@ TEST(RelationTest, ZeroAryRelation) {
   EXPECT_TRUE(rel.Contains(std::vector<TermId>{}));
 }
 
+TEST(RelationTest, ZeroArySizeFollowsEveryMutation) {
+  const std::vector<TermId> empty;
+  Relation rel(0);
+  ASSERT_TRUE(rel.Insert(empty));
+  EXPECT_EQ(rel.size(), 1u);
+  Relation clone(rel);
+  EXPECT_EQ(clone.size(), 1u);
+  ASSERT_TRUE(rel.Retract(empty));
+  EXPECT_EQ(rel.size(), 0u);
+  EXPECT_EQ(clone.size(), 1u);  // the clone keeps its own count
+  clone.Clear();
+  EXPECT_EQ(clone.size(), 0u);
+  EXPECT_FALSE(clone.Contains(empty));
+  ASSERT_TRUE(clone.Insert(empty));
+  EXPECT_EQ(clone.size(), 1u);
+  EXPECT_EQ(Relation(rel).size(), 0u);  // a clone of an empty relation
+}
+
 TEST(RelationTest, InsertReportsNewTuplesOnly) {
   Relation rel(2);
   std::vector<TermId> t1 = {1, 2};
@@ -478,7 +496,7 @@ void CheckAgainstModel(const Modeled& m, std::mt19937_64& rng) {
   if (m.model.empty()) return;
   auto it = m.model.begin();
   std::advance(it, static_cast<long>(rng() % m.model.size()));
-  for (uint64_t mask = 1; mask < 4; ++mask) {
+  for (uint64_t mask = 1; mask < (uint64_t{1} << rel.arity()); ++mask) {
     const Tuple key = KeyOf(*it, mask);
     std::set<Tuple> expected;
     for (const Tuple& t : m.model) {
@@ -492,18 +510,20 @@ void CheckAgainstModel(const Modeled& m, std::mt19937_64& rng) {
   }
 }
 
-void RunModelHistory(uint64_t seed) {
+void RunModelHistory(uint32_t arity, uint64_t seed) {
   std::mt19937_64 rng(seed);
   // A small domain keeps duplicates, hits on retract, and shared probe
-  // keys frequent; up to 576 live tuples walk the table from 16 slots
+  // keys frequent; up to 512-576 live tuples walk the table from 16 slots
   // through several doublings.
-  const TermId domain = 24;
+  const TermId domain = arity == 1 ? 576 : arity == 2 ? 24 : 8;
   auto random_tuple = [&] {
-    return Tuple{static_cast<TermId>(rng() % domain),
-                 static_cast<TermId>(rng() % domain)};
+    Tuple t(arity);
+    for (TermId& id : t) id = static_cast<TermId>(rng() % domain);
+    return t;
   };
+  const uint64_t masks = (uint64_t{1} << arity) - 1;  // every non-empty mask
   std::vector<Modeled> live;
-  live.push_back({std::make_unique<Relation>(2), {}});
+  live.push_back({std::make_unique<Relation>(arity), {}});
   for (int step = 0; step < 6000; ++step) {
     Modeled& m = live[rng() % live.size()];
     Relation& rel = *m.rel;
@@ -535,7 +555,7 @@ void RunModelHistory(uint64_t seed) {
     } else if (op < 900) {
       // Windowed probe against a scan of the same window.
       if (rel.size() == 0) continue;
-      const uint64_t mask = 1 + rng() % 3;
+      const uint64_t mask = 1 + rng() % masks;
       std::span<const TermId> picked = rel.Row(rng() % rel.size());
       const Tuple key = KeyOf(Tuple(picked.begin(), picked.end()), mask);
       const size_t from = rng() % (rel.size() + 1);
@@ -571,8 +591,30 @@ void RunModelHistory(uint64_t seed) {
 }
 
 TEST(RelationModelTest, RandomHistoriesMatchSetModel) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    ASSERT_NO_FATAL_FAILURE(RunModelHistory(seed)) << "seed " << seed;
+  for (uint32_t arity = 1; arity <= 3; ++arity) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      ASSERT_NO_FATAL_FAILURE(RunModelHistory(arity, seed))
+          << "arity " << arity << " seed " << seed;
+    }
+  }
+}
+
+TEST(RelationModelTest, WindowDeepInsideALongSingleKeyBucket) {
+  // The self-literal shape: one key owns thousands of rows (interleaved
+  // with another key's), and the semi-naive window starts deep inside its
+  // list, so both probes must start at the window, not at row 0.
+  Relation rel(2);
+  for (TermId i = 0; i < 4000; ++i) {
+    rel.Insert(Tuple{i % 5 == 0 ? 1u : 7u, i});
+  }
+  for (const auto& [from, to] : std::vector<std::pair<size_t, size_t>>{
+           {3001, 3417}, {3990, 4000}, {2500, 2500}, {0, 1}, {3999, 4000}}) {
+    std::vector<uint32_t> expected;
+    for (size_t r = from; r < to; ++r) {
+      if (rel.Row(r)[0] == 7u) expected.push_back(static_cast<uint32_t>(r));
+    }
+    EXPECT_EQ(ProbeBoth(rel, 0b01, Tuple{7}, from, to), expected)
+        << "window [" << from << ", " << to << ")";
   }
 }
 
