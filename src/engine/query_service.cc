@@ -140,6 +140,10 @@ QueryService::QueryService(const Program& program, Database& db,
   writes_applied_ = metrics_.GetCounter(
       "magicdb_writes_applied", {},
       "Write batches applied through ApplyWrites");
+  write_cow_bytes_ = metrics_.GetCounter(
+      "magicdb_write_cow_bytes", {},
+      "Relation storage bytes write batches copied out of chunks shared "
+      "with older versions or allocated fresh");
   request_latency_ = metrics_.GetHistogram(
       "magicdb_request_latency_ns", {},
       "End-to-end request latency, admission to completion");
@@ -815,6 +819,7 @@ Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
   write_publish_->Record(
       static_cast<uint64_t>(publish.ElapsedSeconds() * 1e9));
   writes_applied_->Add();
+  write_cow_bytes_->Add(result.cow_bytes);
   {
     MutexLock lock(commit_mutex_);
     ++commit_serving_;

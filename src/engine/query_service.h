@@ -574,6 +574,7 @@ class QueryService {
   obs::Counter* answers_from_cache_ = nullptr;
   obs::Counter* deadline_shed_ = nullptr;
   obs::Counter* writes_applied_ = nullptr;
+  obs::Counter* write_cow_bytes_ = nullptr;
   /// End-to-end latency of every served request (inline hits included).
   obs::Histogram* request_latency_ = nullptr;
   /// Per-batch version build+publish time (ticket redeemed -> published).

@@ -42,6 +42,9 @@ Result<WriteResult> Database::Apply(const WriteBatch& batch) {
 
 WriteResult Database::ApplyValidated(const WriteBatch& batch) {
   WriteResult result;
+  // The whole batch runs on this thread, so the thread's chunk tally
+  // brackets exactly what it copied or allocated.
+  const uint64_t chunk_bytes_before = ChunkBytesAllocatedByThisThread();
   // Net accounting per touched relation: set semantics make every
   // successful insert/retract of one tuple alternate (+1/-1), so a
   // relation whose per-tuple nets are all zero ends the batch with the
@@ -155,6 +158,7 @@ WriteResult Database::ApplyValidated(const WriteBatch& batch) {
     ++result.relations_mutated;
     rel.RebuildIndexes();
   }
+  result.cow_bytes = ChunkBytesAllocatedByThisThread() - chunk_bytes_before;
   return result;
 }
 

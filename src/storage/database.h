@@ -19,7 +19,11 @@ namespace magic {
 /// Relation object with the original. Mutation is copy-on-write —
 /// GetOrCreate and ApplyValidated clone a relation whose slot is shared
 /// before touching it — so a snapshot taken before a write keeps observing
-/// the exact pre-write tuple sets forever. This is the storage half of the
+/// the exact pre-write tuple sets forever. The clone itself shares the
+/// relation's storage chunks (see Relation's copy constructor), so a write
+/// copies only the chunks it touches (WriteResult::cow_bytes), and a
+/// snapshot pinned across K later writes holds, beyond the head, only the
+/// chunks those writes replaced. This is the storage half of the
 /// MVCC serving design: VersionChain publishes these snapshots as
 /// immutable DatabaseVersions that readers pin for the whole evaluation.
 /// Once a database is served, every write goes through ApplyValidated

@@ -21,18 +21,18 @@ constexpr ptrdiff_t kPrefetchRows = 16;
 
 }  // namespace
 
+Relation::Index::Index(const Index& other)
+    : entries(other.entries),
+      arena(other.arena),
+      shift(other.shift),
+      used(other.used),
+      rows_built(other.rows_built.load(std::memory_order_relaxed)) {}
+
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
-      rows_(other.rows_),
+      data_(other.data_),
       slots_(other.slots_),
       slot_shift_(other.slot_shift_) {
-  // The clone keeps the source's row capacity, not just its rows (its
-  // index arenas too): an insert-only batch then appends without a
-  // reallocation, and successive clones of a relation request identical
-  // block sizes, so the allocator reuses the blocks retired versions free
-  // instead of growing the heap by a relation's worth per write.
-  data_.reserve(other.data_.capacity());
-  data_.assign(other.data_.begin(), other.data_.end());
   // Copy the source's indices under its lock — pinned readers may be
   // adding masks via EnsureIndex concurrently, and a build in flight holds
   // the lock, so each index is read whole, together with its watermark.
@@ -43,17 +43,11 @@ Relation::Relation(const Relation& other)
     MutexLock source_lock(other.index_mutex_);
     copies.reserve(other.indices_.size());
     for (const auto& [mask, index] : other.indices_) {
-      auto copy = std::make_unique<Index>();
-      const size_t built = index->rows_built.load(std::memory_order_relaxed);
-      if (built != kIndexInvalidated) {
-        copy->entries = index->entries;
-        copy->arena.reserve(index->arena.capacity());  // as for data_
-        copy->arena.assign(index->arena.begin(), index->arena.end());
-        copy->shift = index->shift;
-        copy->used = index->used;
-        copy->rows_built.store(built, std::memory_order_relaxed);
-      }
-      copies.emplace_back(mask, std::move(copy));
+      const bool invalidated = index->rows_built.load(
+                                   std::memory_order_relaxed) ==
+                               kIndexInvalidated;
+      copies.emplace_back(mask, invalidated ? std::make_unique<Index>()
+                                            : std::make_unique<Index>(*index));
     }
   }
   if (copies.empty()) return;
@@ -80,7 +74,7 @@ size_t Relation::FindSlot(std::span<const TermId> tuple,
     const uint32_t id = slots_[slot];
     if (id == 0) return slot;
     // A plain loop: std::equal becomes a memcmp call per chain step.
-    const TermId* r = data_.data() + static_cast<size_t>(id - 1) * arity_;
+    const TermId* r = data_.At(id - 1);
     uint32_t i = 0;
     while (i < arity_ && r[i] == tuple[i]) ++i;
     if (i == arity_) return slot;
@@ -96,14 +90,14 @@ size_t Relation::SlotOfRow(uint32_t row) const {
 
 void Relation::GrowSlots() {
   const size_t capacity = std::max(kMinSlots, slots_.size() * 2);
-  slots_.assign(capacity, 0);
+  slots_.Assign(capacity, 0);
   slot_shift_ = static_cast<uint32_t>(64 - std::countr_zero(capacity));
   const size_t mask = capacity - 1;
   // Rows are distinct, so re-slotting needs no comparisons.
   for (size_t row = 0; row < size(); ++row) {
     size_t slot = HomeSlot(RowHash(row));
     while (slots_[slot] != 0) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<uint32_t>(row) + 1;
+    *slots_.MutableAt(slot) = static_cast<uint32_t>(row) + 1;
   }
 }
 
@@ -117,37 +111,43 @@ void Relation::EraseSlot(size_t hole) {
        next = (next + 1) & mask) {
     const size_t home = HomeSlot(RowHash(slots_[next] - 1));
     if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole] = slots_[next];
+      *slots_.MutableAt(hole) = slots_[next];
       hole = next;
     }
   }
-  slots_[hole] = 0;
+  *slots_.MutableAt(hole) = 0;
 }
 
 bool Relation::Insert(std::span<const TermId> tuple) {
   MAGIC_CHECK(tuple.size() == arity_);
   if (arity_ == 0) {
-    if (rows_ > 0) return false;
-    rows_ = 1;
+    if (size() > 0) return false;
+    data_.PushBack(tuple.data());
     return true;
   }
-  // Grow first, so the table stays at most 3/4 full with the new row in
-  // it and the empty slot ending the probe is where that row goes.
-  if ((size() + 1) * 4 > slots_.size() * 3) GrowSlots();
-  const size_t slot = FindSlot(tuple, HashRange(tuple.begin(), tuple.end()));
-  if (slots_[slot] != 0) return false;
+  const uint64_t hash = HashRange(tuple.begin(), tuple.end());
+  size_t slot = 0;
+  if (!slots_.empty()) {
+    slot = FindSlot(tuple, hash);
+    if (slots_[slot] != 0) return false;  // a duplicate writes nothing
+  }
+  // Grow before the new row lands, so the table stays at most 3/4 full
+  // with it; the empty slot ending the probe is where that row goes.
+  if ((size() + 1) * 4 > slots_.size() * 3) {
+    GrowSlots();
+    slot = FindSlot(tuple, hash);
+  }
   const uint32_t row = CheckedRowId(size());
-  data_.insert(data_.end(), tuple.begin(), tuple.end());
-  slots_[slot] = row + 1;
-  ++rows_;
+  data_.PushBack(tuple.data());
+  *slots_.MutableAt(slot) = row + 1;
   return true;
 }
 
 bool Relation::Retract(std::span<const TermId> tuple) {
   MAGIC_CHECK(tuple.size() == arity_);
   if (arity_ == 0) {
-    if (rows_ == 0) return false;
-    rows_ = 0;
+    if (size() == 0) return false;
+    data_.Clear();
     return true;
   }
   if (slots_.empty()) return false;
@@ -162,13 +162,13 @@ bool Relation::Retract(std::span<const TermId> tuple) {
   const uint32_t last = static_cast<uint32_t>(size()) - 1;
   EraseSlot(slot);
   if (row != last) {
-    slots_[SlotOfRow(last)] = row + 1;
-    std::span<const TermId> moved = Row(last);
-    std::copy(moved.begin(), moved.end(),
-              data_.begin() + static_cast<ptrdiff_t>(row) * arity_);
+    *slots_.MutableAt(SlotOfRow(last)) = row + 1;
+    // The writable row first: privatizing its chunk may move it, and the
+    // last row may share that chunk.
+    TermId* to = data_.MutableAt(row);
+    std::copy_n(data_.At(last), arity_, to);
   }
-  data_.resize(static_cast<size_t>(last) * arity_);
-  rows_ = last;
+  data_.Truncate(last);
   // The per-mask indices hold stale ids for the moved row; mark each for
   // a from-scratch rebuild (one flag store per index — the bucket clear
   // itself happens once, inside the next ExtendIndex). The sentinel can
@@ -185,9 +185,8 @@ bool Relation::Retract(std::span<const TermId> tuple) {
 
 void Relation::Clear() {
   if (size() == 0) return;  // already empty: keep the built indices warm
-  data_.clear();
-  rows_ = 0;
-  std::fill(slots_.begin(), slots_.end(), 0);
+  data_.Clear();
+  slots_.Assign(slots_.size(), 0);
   // Drop all indices: the watermark design only supports appends, so a
   // truncation must start index state from scratch. Exclusive access means
   // no probe is in flight, so the retired snapshots can go too (they point
@@ -211,7 +210,7 @@ std::optional<uint32_t> Relation::FindRow(
     std::span<const TermId> tuple) const {
   MAGIC_CHECK(tuple.size() == arity_);
   if (arity_ == 0) {
-    if (rows_ > 0) return 0u;
+    if (size() > 0) return 0u;
     return std::nullopt;
   }
   if (slots_.empty()) return std::nullopt;
@@ -247,45 +246,45 @@ void Relation::Index::Append(uint64_t hash, uint32_t row) {
   while (entries[slot].capacity != 0 && entries[slot].hash != hash) {
     slot = (slot + 1) & mask;
   }
-  Entry& e = entries[slot];
+  Entry& e = *entries.MutableAt(slot);
   if (e.capacity == 0) {
-    e = Entry{hash, arena.size(), 0, 1};
-    arena.push_back(0);
+    e = Entry{hash, arena.AppendRun(1), 0, 1};
     ++used;
   } else if (e.size == e.capacity) {
     const uint32_t extra = std::min(e.capacity, UINT32_MAX - e.capacity);
     MAGIC_CHECK(extra > 0);
-    if (e.begin + e.capacity == arena.size()) {
-      arena.resize(arena.size() + extra);  // last list: grow in place
-    } else {
-      const size_t moved = arena.size();
-      arena.resize(moved + e.capacity + extra);
-      std::copy_n(arena.begin() + static_cast<ptrdiff_t>(e.begin), e.size,
-                  arena.begin() + static_cast<ptrdiff_t>(moved));
+    const uint32_t capacity = e.capacity + extra;
+    // The last list grows in place while it stays in its chunk.
+    if (e.begin + e.capacity != arena.size() ||
+        !arena.ExtendTailRun(e.begin, capacity)) {
+      const size_t moved = arena.AppendRun(capacity);
+      uint32_t* to = arena.MutableAt(moved);  // before reading: see Retract
+      std::copy_n(arena.At(e.begin), e.size, to);
       e.begin = moved;
     }
-    e.capacity += extra;
+    e.capacity = capacity;
   }
-  arena[e.begin + e.size++] = row;
+  arena.MutableAt(e.begin)[e.size++] = row;
 }
 
 void Relation::Index::Reset() {
-  std::fill(entries.begin(), entries.end(), Entry{});
-  arena.clear();
+  entries.Assign(entries.size(), Entry{});
+  arena.Clear();
   used = 0;
 }
 
 void Relation::Index::Grow() {
-  std::vector<Entry> old = std::move(entries);
+  const ChunkedArray<Entry> old = std::move(entries);
   const size_t capacity = std::max(kMinSlots, old.size() * 2);
-  entries.assign(capacity, Entry{});
+  entries.Assign(capacity, Entry{});
   shift = static_cast<uint32_t>(64 - std::countr_zero(capacity));
   const size_t mask = capacity - 1;
-  for (const Entry& e : old) {
+  for (size_t i = 0; i < old.size(); ++i) {
+    const Entry& e = old[i];
     if (e.capacity == 0) continue;
     size_t slot = SlotFor(e.hash, shift);
     while (entries[slot].capacity != 0) slot = (slot + 1) & mask;
-    entries[slot] = e;
+    *entries.MutableAt(slot) = e;
   }
 }
 
@@ -368,7 +367,7 @@ Relation::Cursor Relation::OpenProbe(uint64_t mask,
   if (entry == nullptr) return c;  // empty scan: pos_ == end_ == 0
   // Listed rows ascend, so the window's start is a binary search and its
   // end is the Next() early-out at to_.
-  const uint32_t* rows = index->arena.data() + entry->begin;
+  const uint32_t* rows = index->arena.At(entry->begin);
   const uint32_t* end = rows + entry->size;
   const uint32_t* first =
       std::lower_bound(rows, end, static_cast<uint32_t>(from_row));
@@ -378,7 +377,7 @@ Relation::Cursor Relation::OpenProbe(uint64_t mask,
   const uint32_t* stop =
       first + std::min<ptrdiff_t>(end - first, kPrefetchRows);
   for (const uint32_t* it = first; it != stop && *it < to_row; ++it) {
-    __builtin_prefetch(data_.data() + static_cast<size_t>(*it) * arity_);
+    __builtin_prefetch(data_.At(*it));
   }
   c.bucket_ = rows;
   c.pos_ = static_cast<size_t>(first - rows);

@@ -10,20 +10,31 @@
 #include <vector>
 
 #include "ast/term.h"
+#include "storage/chunked_array.h"
 #include "util/annotated_mutex.h"
 #include "util/check.h"
 
 namespace magic {
 
-/// A set of ground tuples of fixed arity, stored flat and append-only.
+/// A set of ground tuples of fixed arity, stored in chunks and append-only.
 ///
-/// Storage is two flat arrays: the rows themselves (`data_`, arity ids per
+/// Storage is two arrays: the rows themselves (`data_`, arity ids per
 /// row) and a dedup table of row ids (`slots_`: open addressing, slot value
 /// = row + 1 with 0 for empty, linear probing, a power-of-two capacity at
 /// most 3/4 full). Membership is a probe from the slot a multiply-shift mix
 /// of the tuple hash picks, comparing rows until an empty slot. Retract
 /// removes by swap-with-last and backward-shift deletion, so insert/retract
 /// churn leaves no tombstones and the table never needs a cleanup pass.
+///
+/// Each array, and each per-mask index's two arrays, is a ChunkedArray of
+/// refcounted, copy-on-write chunks of kChunkBytes (64 KiB). A data chunk
+/// holds 8192 whole rows (64 KiB at arity 2), so row r is at
+/// `chunk[r >> 13] + (r & 8191) * arity` and Row() stays one contiguous
+/// span.
+/// A relation smaller than one chunk keeps each array in one block that
+/// grows geometrically, as a vector does. A copy shares every chunk; a
+/// mutation copies only the chunks it writes while another version still
+/// holds them (see the copy constructor).
 ///
 /// Append-only storage gives the semi-naive evaluator its deltas for free:
 /// the delta of an iteration is a row range [prev_size, cur_size), so no
@@ -32,6 +43,11 @@ namespace magic {
 /// Point lookups build hash indices lazily, one per bound-column mask, and
 /// extend them incrementally as rows are appended (the iterator-invalidation
 /// hazards of rebuilding mid-fixpoint are avoided by the watermark design).
+///
+/// Memory bound: a version pinned while K later commits run holds, beyond
+/// what the head holds, only the chunks those commits replaced: the chunks
+/// they privatized, plus any array they built afresh (a dedup-table
+/// doubling, an index doubling, or the index rebuild a retract forces).
 ///
 /// Concurrency contract: `Insert` (and any other mutation of the row data)
 /// requires exclusive access — rows are written single-threaded, e.g. while
@@ -47,7 +63,10 @@ namespace magic {
 /// MVCC write path a relation shared with a pinned DatabaseVersion is
 /// never mutated at all: Database copy-on-writes it (the copy constructor
 /// below), so "exclusive access" for mutation means exclusive access to
-/// the writer's private clone.
+/// the writer's private clone. Chunks shared between versions are never
+/// written by either: the writer copies a chunk before writing it unless
+/// it proves itself the chunk's sole owner (ChunkedArray::Own), and the
+/// last owner of a retired version may release it on any thread.
 class Relation {
  public:
   /// Most rows a relation can hold. Row ids are uint32_t, a dedup slot
@@ -62,25 +81,27 @@ class Relation {
     return static_cast<uint32_t>(row);
   }
 
-  explicit Relation(uint32_t arity) : arity_(arity) {}
+  explicit Relation(uint32_t arity) : arity_(arity), data_(arity) {}
 
-  /// Copy-on-write clone: copies the rows and the dedup table as two flat
-  /// arrays (one allocation and one memcpy each, whatever the row count;
-  /// the row array keeps the source's capacity) and every per-mask index
-  /// the source has built, buckets and `rows_built` watermark included,
-  /// and publishes them at once; an index is two flat arrays as well. A
-  /// writer that only appends to the clone therefore extends each index
-  /// from its watermark (RebuildIndexes) instead of re-indexing every row.
-  /// An index a retract has invalidated is carried as an empty one
-  /// (rows_built = 0), rebuilt from row 0 on the next RebuildIndexes or
-  /// probe. Safe to call while other threads probe the SOURCE (its indices
-  /// are read under its mutex); the clone itself is invisible to them
-  /// until the caller publishes it.
+  /// Copy-on-write clone: shares every chunk of the rows, the dedup table
+  /// and every per-mask index the source has built (buckets and
+  /// `rows_built` watermark included), so the copy is a pointer vector
+  /// and a refcount increment per chunk, whatever the row count, and
+  /// publishes the indices at once. The clone and the source then copy a
+  /// chunk only when they first write it while the other still holds it:
+  /// a batch costs O(chunks it touches), and retiring the source frees
+  /// only the chunks the clone replaced. A writer that only appends to the
+  /// clone extends each index from its watermark (RebuildIndexes) instead
+  /// of re-indexing every row. An index a retract has invalidated is
+  /// carried as an empty one (rows_built = 0), rebuilt from row 0 on the
+  /// next RebuildIndexes or probe. Safe to call while other threads probe
+  /// the SOURCE (its indices are read under its mutex); the clone itself
+  /// is invisible to them until the caller publishes it.
   Relation(const Relation& other);
   Relation& operator=(const Relation&) = delete;
 
   uint32_t arity() const { return arity_; }
-  size_t size() const { return rows_; }
+  size_t size() const { return data_.size(); }
 
   /// Inserts a tuple; returns true if it was new.
   bool Insert(std::span<const TermId> tuple);
@@ -113,7 +134,7 @@ class Relation {
   std::optional<uint32_t> FindRow(std::span<const TermId> tuple) const;
 
   std::span<const TermId> Row(size_t row) const {
-    return std::span<const TermId>(data_.data() + row * arity_, arity_);
+    return std::span<const TermId>(data_.At(row), arity_);
   }
 
   /// Appends to `out` the rows in [from_row, to_row) whose columns selected
@@ -184,23 +205,32 @@ class Relation {
   /// fast path always rejects an invalidated index.
   static constexpr size_t kIndexInvalidated = ~size_t{0};
 
-  /// One per-mask probe index, flat like the rows: an open-addressing
+  /// log2 of the rows in one data chunk: 8192 rows, kChunkBytes at arity
+  /// 2 (the common EDB shape), so a chunk stays 32-128 KiB for arities
+  /// 1-4 and the row address needs no per-relation shift.
+  static constexpr uint32_t kRowChunkShift =
+      kChunkShiftFor<TermId> - 1;
+
+  /// One per-mask probe index, chunked like the rows: an open-addressing
   /// table of key hashes (linear probing, power-of-two capacity at most
   /// 3/4 full) whose entries locate ascending row lists in one arena. A
   /// full list moves to the arena's end with twice the room, except that
-  /// the list already at the end grows in place; the hole a move leaves is
-  /// reclaimed by the next rebuild from scratch, and holes never outgrow
-  /// the live lists. Copying an index is therefore two array copies, and
-  /// an index allocates a handful of large blocks, never one per key.
+  /// the list already at the end grows in place while it stays in its
+  /// chunk; the hole a move leaves is reclaimed by the next rebuild from
+  /// scratch, and holes never outgrow the live lists. Every list is
+  /// contiguous (ChunkedArray::AppendRun: no list straddles a chunk, and
+  /// one longer than a chunk has an oversized block of its own), so a
+  /// cursor walks it through a raw pointer. Copying an index shares its
+  /// chunks, and an index allocates chunks, never one block per key.
   struct Index {
     struct Entry {
       uint64_t hash = 0;
-      size_t begin = 0;       // arena offset of the row list
+      size_t begin = 0;       // arena unit of the row list's first row
       uint32_t size = 0;
       uint32_t capacity = 0;  // 0 marks an empty slot
     };
-    std::vector<Entry> entries;
-    std::vector<uint32_t> arena;
+    ChunkedArray<Entry> entries;
+    ChunkedArray<uint32_t> arena;
     uint32_t shift = 64;  // 64 - log2(entries.size())
     size_t used = 0;      // occupied entries
     /// Release-stored after the list writes of a build; the lock-free
@@ -210,12 +240,16 @@ class Relation {
     /// mutex-guarded build path.
     std::atomic<size_t> rows_built{0};
 
+    Index() = default;
+    /// Shares `other`'s chunks; the caller holds `other`'s index mutex.
+    Index(const Index& other);
+
     /// The entry for `hash`, or null when no row has that key hash.
     const Entry* Find(uint64_t hash) const;
     /// Appends `row`, larger than every row listed so far, to the list of
     /// `hash`.
     void Append(uint64_t hash, uint32_t row);
-    /// Drops every list, keeping the table's size.
+    /// Drops every list, keeping the table's size (in fresh chunks).
     void Reset();
 
    private:
@@ -246,7 +280,8 @@ class Relation {
   size_t FindSlot(std::span<const TermId> tuple, uint64_t hash) const;
   /// The slot holding row id `row` (present by construction).
   size_t SlotOfRow(uint32_t row) const;
-  /// Doubles the table (16 slots when empty) and re-slots every row.
+  /// Doubles the table (16 slots when empty) into fresh chunks and
+  /// re-slots every row.
   void GrowSlots();
   /// Empties `slot` by backward-shift deletion.
   void EraseSlot(size_t slot);
@@ -259,7 +294,7 @@ class Relation {
   /// set bit -> key[k]). Inline: this is the per-row check on the
   /// cursor hot path.
   bool RowMatchesKey(uint64_t mask, const TermId* key, size_t row) const {
-    const TermId* r = data_.data() + row * arity_;
+    const TermId* r = data_.At(row);
     size_t k = 0;
     for (uint32_t i = 0; i < arity_; ++i) {
       if (mask & (uint64_t{1} << i)) {
@@ -270,13 +305,12 @@ class Relation {
   }
 
   uint32_t arity_;
-  std::vector<TermId> data_;
-  /// Row count, kept beside data_ so size() is a load, not a division
-  /// (0-ary relations hold at most one row and no data).
-  size_t rows_ = 0;
+  /// One unit per row, `arity_` ids wide (0-ary relations hold at most one
+  /// row, of no ids); a chunk holds 2^kRowChunkShift rows.
+  ChunkedArray<TermId, kRowChunkShift> data_;
   /// Dedup table: row + 1 per occupied slot, 0 when empty (see the class
   /// comment). slot_shift_ = 64 - log2(slots_.size()).
-  std::vector<uint32_t> slots_;
+  ChunkedArray<uint32_t> slots_;
   uint32_t slot_shift_ = 64;
 
   mutable std::atomic<const IndexTable*> index_table_{nullptr};

@@ -89,12 +89,16 @@ Status CheckFrozenPredicates(const Universe& u, const WriteBatch& batch,
 /// VersionChain::Commit publishes a new version iff it is nonzero. A
 /// duplicate-only or net-zero batch reports zero, publishes nothing, and
 /// leaves warm cache entries live; its `inserted`/`retracted`/`cleared`
-/// still count the ops that ran.
+/// still count the ops that ran. `cow_bytes` is the relation storage the
+/// batch copied out of chunks shared with older versions or allocated
+/// fresh (a clone itself copies none), so a write's cost follows the
+/// chunks it touched, not the relation's size.
 struct WriteResult {
   size_t inserted = 0;   // tuples that were new
   size_t retracted = 0;  // tuples that were present
   size_t cleared = 0;    // non-empty relations cleared
   size_t relations_mutated = 0;
+  uint64_t cow_bytes = 0;
 };
 
 }  // namespace magic

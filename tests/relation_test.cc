@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <set>
 #include <thread>
@@ -16,14 +18,43 @@
 
 namespace magic {
 
-/// White-box access to the dedup table, for layout checks the public API
-/// cannot observe (capacity, occupancy, where a probe chain sits).
+/// White-box access to the dedup table and the chunks, for layout checks
+/// the public API cannot observe (capacity, occupancy, where a probe chain
+/// sits, which chunks a clone shares, where an index row list starts).
 struct RelationTestPeer {
+  using Blocks = std::vector<const void*>;
+
+  static size_t DataChunkRows() { return size_t{1} << Relation::kRowChunkShift; }
+  static size_t ArenaChunkUnits() {
+    return ChunkedArray<uint32_t>::chunk_units();
+  }
+  static Blocks DataBlocks(const Relation& rel) { return BlocksOf(rel.data_); }
+  static Blocks SlotBlocks(const Relation& rel) { return BlocksOf(rel.slots_); }
+  static Blocks EntryBlocks(const Relation& rel, uint64_t mask) {
+    MutexLock lock(rel.index_mutex_);
+    return BlocksOf(rel.indices_.at(mask)->entries);
+  }
+  static Blocks ArenaBlocks(const Relation& rel, uint64_t mask) {
+    MutexLock lock(rel.index_mutex_);
+    return BlocksOf(rel.indices_.at(mask)->arena);
+  }
+  /// {first arena unit, capacity} of `key`'s row list in `mask`'s index.
+  static std::pair<size_t, uint32_t> List(const Relation& rel, uint64_t mask,
+                                          const std::vector<TermId>& key) {
+    MutexLock lock(rel.index_mutex_);
+    const Relation::Index::Entry* e =
+        rel.indices_.at(mask)->Find(HashRange(key.begin(), key.end()));
+    return e == nullptr ? std::pair<size_t, uint32_t>{0, 0}
+                        : std::pair<size_t, uint32_t>{e->begin, e->capacity};
+  }
+
   static size_t Capacity(const Relation& rel) { return rel.slots_.size(); }
   static size_t Occupied(const Relation& rel) {
-    return static_cast<size_t>(std::count_if(
-        rel.slots_.begin(), rel.slots_.end(),
-        [](uint32_t id) { return id != 0; }));
+    size_t occupied = 0;
+    for (size_t slot = 0; slot < rel.slots_.size(); ++slot) {
+      occupied += rel.slots_[slot] != 0;
+    }
+    return occupied;
   }
   static size_t HomeSlot(const Relation& rel,
                          const std::vector<TermId>& tuple) {
@@ -35,6 +66,13 @@ struct RelationTestPeer {
   static size_t BuiltIndexes(const Relation& rel) {
     MutexLock lock(rel.index_mutex_);
     return rel.indices_.size();
+  }
+
+ private:
+  /// The block at each chunk position (null inside an oversized run).
+  template <typename Array>
+  static Blocks BlocksOf(const Array& array) {
+    return Blocks(array.blocks_.begin(), array.blocks_.end());
   }
 };
 
@@ -618,6 +656,280 @@ TEST(RelationModelTest, WindowDeepInsideALongSingleKeyBucket) {
   }
 }
 
+/// Every row of `rel`, flattened in row order.
+std::vector<TermId> FlatRows(const Relation& rel) {
+  std::vector<TermId> rows;
+  rows.reserve(rel.size() * rel.arity());
+  for (size_t r = 0; r < rel.size(); ++r) {
+    rows.insert(rows.end(), rel.Row(r).begin(), rel.Row(r).end());
+  }
+  return rows;
+}
+
+/// A clone no longer mutated: its set model, and its rows and per-first-
+/// column row counts as they were when it was frozen (then checked
+/// against the model in full).
+struct Frozen {
+  std::unique_ptr<Relation> rel;
+  std::set<Tuple> model;
+  std::vector<TermId> rows;
+  std::map<TermId, size_t> first_column;
+};
+
+/// Cheap per-op check of a frozen clone: rows unchanged in place (so the
+/// set is unchanged), `touched` findable exactly when its model holds it,
+/// and the mask-1 probe for `touched`'s first column as large as before.
+void CheckFrozen(const Frozen& f, const Tuple& touched) {
+  const Relation& rel = *f.rel;
+  ASSERT_EQ(rel.size(), f.model.size());
+  // Plain loops, one assertion each: this runs after every op.
+  const uint32_t arity = rel.arity();
+  size_t changed = 0;
+  while (changed < rel.size() &&
+         std::equal(rel.Row(changed).begin(), rel.Row(changed).end(),
+                    f.rows.begin() + static_cast<long>(changed * arity))) {
+    ++changed;
+  }
+  ASSERT_EQ(changed, rel.size()) << "a frozen clone's row changed";
+  ASSERT_EQ(rel.FindRow(touched).has_value(), f.model.count(touched) == 1);
+  const TermId key = touched[0];
+  size_t found = 0;
+  size_t foreign = 0;
+  Relation::Cursor c = rel.OpenProbe(0b1, {&key, 1}, 0, rel.size());
+  for (uint32_t r = c.Next(); r != Relation::Cursor::kDone; r = c.Next()) {
+    foreign += rel.Row(r)[0] != key;
+    ++found;
+  }
+  ASSERT_EQ(foreign, 0u);
+  const auto it = f.first_column.find(key);
+  ASSERT_EQ(found, it == f.first_column.end() ? 0 : it->second);
+}
+
+/// A seeded history that grows one relation into its third data chunk,
+/// through dedup-table doublings, with a chain of clones: at random points
+/// (and just before each chunk boundary and table doubling) the newest
+/// relation is frozen and a clone of it becomes the newest, which alone is
+/// mutated from then on. The last phase churns inserts and retracts —
+/// many of whose swap-with-last moves a row from the last chunk into an
+/// earlier one — and checks every frozen clone after every op.
+void RunChunkedHistory(uint32_t arity, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const size_t chunk_rows = RelationTestPeer::DataChunkRows();
+  const size_t target = 2 * chunk_rows + chunk_rows / 8;
+  const TermId domain = arity == 1 ? static_cast<TermId>(4 * target)
+                        : arity == 2 ? 256
+                                     : 48;
+  auto random_tuple = [&] {
+    Tuple t(arity);
+    for (TermId& id : t) id = static_cast<TermId>(rng() % domain);
+    return t;
+  };
+  const uint64_t masks = (uint64_t{1} << arity) - 1;
+  Modeled newest{std::make_unique<Relation>(arity), {}};
+  std::vector<Frozen> frozen;
+  size_t cross_chunk_moves = 0;
+  size_t grows_while_shared = 0;
+  // Milestones just short of a data chunk boundary or a table doubling, so
+  // the append or the doubling lands on chunks a frozen clone shares.
+  std::set<size_t> milestones = {chunk_rows - 3, 2 * chunk_rows - 3};
+  for (size_t slots = 1024; slots * 3 / 4 < target; slots *= 2) {
+    milestones.insert(slots * 3 / 4 - 2);
+  }
+
+  auto freeze = [&] {
+    // The rows a frozen clone keeps are checked against its model here;
+    // FindRow(row) == row also proves them distinct.
+    const Relation& rel = *newest.rel;
+    ASSERT_EQ(rel.size(), newest.model.size());
+    for (size_t r = 0; r < rel.size(); ++r) {
+      const Tuple t(rel.Row(r).begin(), rel.Row(r).end());
+      ASSERT_EQ(newest.model.count(t), 1u) << "row " << r;
+      ASSERT_EQ(rel.FindRow(t), r);
+    }
+    auto clone = std::make_unique<Relation>(*newest.rel);
+    std::map<TermId, size_t> first_column;
+    for (const Tuple& t : newest.model) ++first_column[t[0]];
+    frozen.push_back({std::move(newest.rel), newest.model, FlatRows(*clone),
+                      std::move(first_column)});
+    newest.rel = std::move(clone);
+    // Dropping the oldest frees only chunks no later clone shares.
+    if (frozen.size() > 3) frozen.erase(frozen.begin());
+  };
+  auto retract_row = [&](size_t r) {
+    Relation& rel = *newest.rel;
+    const Tuple t(rel.Row(r).begin(), rel.Row(r).end());
+    const size_t last = rel.size() - 1;
+    if (r / chunk_rows != last / chunk_rows) ++cross_chunk_moves;
+    ASSERT_TRUE(rel.Retract(t));
+    ASSERT_EQ(newest.model.erase(t), 1u);
+  };
+  // One op on the newest relation, picked by the per-mille thresholds
+  // (insert, then retract a stored row, then retract a random tuple, then
+  // a windowed probe, FindRow otherwise); returns the tuple it touched.
+  struct Mix {
+    unsigned insert, retract_row, retract_any, probe;
+  };
+  auto step = [&](const Mix& mix) -> Tuple {
+    Relation& rel = *newest.rel;
+    const unsigned op = static_cast<unsigned>(rng() % 1000);
+    Tuple t = random_tuple();
+    if (op < mix.insert || rel.size() == 0) {
+      const size_t slots_before = RelationTestPeer::Capacity(rel);
+      EXPECT_EQ(rel.Insert(t), newest.model.insert(t).second);
+      if (RelationTestPeer::Capacity(rel) != slots_before && !frozen.empty()) {
+        ++grows_while_shared;
+      }
+    } else if (op < mix.retract_row) {
+      const size_t r = rng() % rel.size();
+      t.assign(rel.Row(r).begin(), rel.Row(r).end());
+      retract_row(r);
+    } else if (op < mix.retract_any) {
+      EXPECT_EQ(rel.Retract(t), newest.model.erase(t) == 1);
+    } else if (op < mix.probe) {
+      // A window of up to 3000 rows, anywhere, against a scan of it.
+      const uint64_t mask = 1 + rng() % masks;
+      const Tuple key = KeyOf(t, mask);
+      const size_t from = rng() % (rel.size() + 1);
+      const size_t to =
+          from + rng() % (std::min<size_t>(rel.size() - from, 3000) + 1);
+      std::vector<uint32_t> expected;
+      for (size_t r = from; r < to; ++r) {
+        bool match = true;
+        for (uint32_t i = 0, k = 0; i < arity; ++i) {
+          if (mask & (uint64_t{1} << i)) match &= rel.Row(r)[i] == key[k++];
+        }
+        if (match) expected.push_back(static_cast<uint32_t>(r));
+      }
+      EXPECT_EQ(ProbeBoth(rel, mask, key, from, to), expected);
+    } else {
+      EXPECT_EQ(rel.FindRow(t).has_value(), newest.model.count(t) == 1);
+    }
+    return t;
+  };
+
+  // Growth: into the third data chunk. Frozen clones are compared in full
+  // at every freeze and every 512 steps.
+  for (size_t n = 0; newest.rel->size() < target; ++n) {
+    if (milestones.erase(newest.rel->size()) > 0 || rng() % 4000 == 0) {
+      ASSERT_NO_FATAL_FAILURE(freeze());
+    }
+    step(Mix{.insert = 940, .retract_row = 970, .retract_any = 980,
+             .probe = 995});
+    if (::testing::Test::HasFailure()) return;
+    if (n % 512 == 0) {
+      for (const Frozen& f : frozen) {
+        ASSERT_NO_FATAL_FAILURE(CheckFrozen(f, random_tuple()));
+      }
+    }
+  }
+  // Churn on the clone chain: every frozen clone checked after every op.
+  for (int n = 0; n < 300; ++n) {
+    if (n % 75 == 0) {
+      ASSERT_NO_FATAL_FAILURE(freeze());
+    }
+    const Tuple touched = step(Mix{.insert = 450, .retract_row = 750,
+                                   .retract_any = 800, .probe = 830});
+    if (::testing::Test::HasFailure()) return;
+    for (const Frozen& f : frozen) {
+      ASSERT_NO_FATAL_FAILURE(CheckFrozen(f, touched)) << "op " << n;
+    }
+  }
+  EXPECT_GE(newest.rel->size(), 2 * chunk_rows);
+  EXPECT_GT(cross_chunk_moves, 0u);
+  EXPECT_GT(grows_while_shared, 0u);
+  // Every mask's index, on the newest and on the clone it came from.
+  ASSERT_NO_FATAL_FAILURE(CheckAgainstModel(newest, rng));
+  const Frozen& last = frozen.back();
+  ASSERT_NO_FATAL_FAILURE(CheckAgainstModel(
+      Modeled{std::make_unique<Relation>(*last.rel), last.model}, rng));
+}
+
+TEST(RelationModelTest, HistoriesAcrossChunkBoundariesWithCloneChains) {
+  for (uint32_t arity = 1; arity <= 3; ++arity) {
+    ASSERT_NO_FATAL_FAILURE(RunChunkedHistory(arity, 40 + arity))
+        << "arity " << arity;
+  }
+}
+
+TEST(RelationModelTest, BucketLongerThanAnArenaChunk) {
+  // One key owns 9 rows in 10, so its row list outgrows an arena chunk
+  // and lives in an oversized block; windows start deep inside it, past
+  // the first chunk's worth of list entries.
+  const size_t chunk = RelationTestPeer::ArenaChunkUnits();
+  const TermId rows = static_cast<TermId>(5 * chunk / 2);
+  Relation rel(2);
+  for (TermId i = 0; i < rows; ++i) rel.Insert(Tuple{i % 10 == 0 ? 1u : 7u, i});
+  auto expect_windows = [&](const Relation& r) {
+    const size_t n = r.size();
+    for (const auto& [from, to] : std::vector<std::pair<size_t, size_t>>{
+             {0, n}, {chunk + chunk / 8, chunk + chunk / 2}, {2 * chunk, n},
+             {n - 1, n}, {2 * chunk, 2 * chunk}, {2 * chunk + 1, 2 * chunk + 2}}) {
+      std::vector<uint32_t> expected;
+      for (size_t row = from; row < to; ++row) {
+        if (r.Row(row)[0] == 7u) expected.push_back(static_cast<uint32_t>(row));
+      }
+      EXPECT_EQ(ProbeBoth(r, 0b01, Tuple{7}, from, to), expected)
+          << "window [" << from << ", " << to << ")";
+    }
+  };
+  expect_windows(rel);
+  ASSERT_GT(RelationTestPeer::List(rel, 0b01, Tuple{7}).second, chunk);
+
+  // A clone appending to the same list privatizes the oversized block;
+  // the source's list is untouched.
+  Relation clone(rel);
+  for (TermId i = rows; i < rows + 100; ++i) clone.Insert(Tuple{7, i});
+  clone.RebuildIndexes();
+  expect_windows(clone);
+  expect_windows(rel);
+  std::vector<uint32_t> in_source;
+  rel.Probe(0b01, Tuple{7}, 0, rel.size(), &in_source);
+  std::vector<uint32_t> in_clone;
+  clone.Probe(0b01, Tuple{7}, 0, clone.size(), &in_clone);
+  EXPECT_EQ(in_clone.size(), in_source.size() + 100);
+}
+
+TEST(RelationModelTest, ListStartingAtAnArenaChunksLastUnit) {
+  // With the index built before any row, each new key's one-row list is
+  // appended at the arena's tail: key i's list starts at unit i, so key
+  // chunk - 1's list sits in the first chunk's last unit and cannot grow
+  // in place. Growing it moves it to the next chunk.
+  const size_t chunk = RelationTestPeer::ArenaChunkUnits();
+  const TermId last_key = static_cast<TermId>(chunk - 1);
+  Relation rel(2);
+  std::vector<uint32_t> rows;
+  rel.Probe(0b01, Tuple{0}, 0, 0, &rows);  // builds the empty index
+  for (TermId k = 0; k <= last_key; ++k) rel.Insert(Tuple{k, 0});
+  rel.RebuildIndexes();
+  ASSERT_EQ(RelationTestPeer::List(rel, 0b01, Tuple{last_key}).first,
+            chunk - 1);
+
+  Relation clone(rel);  // the list's chunk is shared from here on
+  for (TermId v = 1; v <= 5; ++v) clone.Insert(Tuple{last_key, v});
+  clone.Insert(Tuple{last_key - 1, 1});
+  clone.RebuildIndexes();
+  EXPECT_EQ(RelationTestPeer::List(clone, 0b01, Tuple{last_key}).first, chunk);
+  for (const auto& [from, to] : std::vector<std::pair<size_t, size_t>>{
+           {0, clone.size()}, {chunk - 1, clone.size()}, {chunk + 2, chunk + 4},
+           {clone.size() - 1, clone.size()}}) {
+    std::vector<uint32_t> expected;
+    for (size_t row = from; row < to; ++row) {
+      if (clone.Row(row)[0] == last_key) {
+        expected.push_back(static_cast<uint32_t>(row));
+      }
+    }
+    EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{last_key}, from, to), expected)
+        << "window [" << from << ", " << to << ")";
+  }
+  EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{last_key - 1}, 0, clone.size()).size(),
+            2u);
+  // The source still has one row per key, its last list where it was.
+  EXPECT_EQ(ProbeBoth(rel, 0b01, Tuple{last_key}, 0, rel.size()),
+            std::vector<uint32_t>{last_key});
+  EXPECT_EQ(RelationTestPeer::List(rel, 0b01, Tuple{last_key}).first,
+            chunk - 1);
+}
+
 TEST(RelationModelTest, MutatingACloneNeverChangesTheSource) {
   Relation source(2);
   for (TermId i = 0; i < 300; ++i) source.Insert(Tuple{i % 17, i});
@@ -647,6 +959,140 @@ TEST(RelationModelTest, MutatingACloneNeverChangesTheSource) {
   EXPECT_EQ(after, before);
   for (const Tuple& row : rows_before) EXPECT_TRUE(source.Contains(row));
   EXPECT_FALSE(source.Contains(Tuple{5, 350}));
+}
+
+/// Chunk positions where `a` and `b` hold different blocks (a position
+/// only one of them has counts too).
+size_t Differing(const RelationTestPeer::Blocks& a,
+                 const RelationTestPeer::Blocks& b) {
+  size_t differing = std::max(a.size(), b.size()) - std::min(a.size(), b.size());
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    differing += a[i] != b[i];
+  }
+  return differing;
+}
+
+/// A relation of `rows` tuples (i % keys, i) with its mask-1 index built.
+std::unique_ptr<Relation> MakeIndexed(TermId rows, TermId keys) {
+  auto rel = std::make_unique<Relation>(2);
+  for (TermId i = 0; i < rows; ++i) rel->Insert(Tuple{i % keys, i});
+  std::vector<uint32_t> out;
+  rel->Probe(0b01, Tuple{0}, 0, rel->size(), &out);
+  return rel;
+}
+
+TEST(RelationChunkTest, CloneAndOneInsertShareAllButTheTouchedChunks) {
+  const TermId rows =
+      static_cast<TermId>(4 * RelationTestPeer::DataChunkRows() + 100);
+  std::unique_ptr<Relation> source = MakeIndexed(rows, 10'000);
+  using Peer = RelationTestPeer;
+  const Peer::Blocks data = Peer::DataBlocks(*source);
+  const Peer::Blocks slots = Peer::SlotBlocks(*source);
+  const Peer::Blocks entries = Peer::EntryBlocks(*source, 0b01);
+  const Peer::Blocks arena = Peer::ArenaBlocks(*source, 0b01);
+  for (const Peer::Blocks* blocks : {&data, &slots, &entries, &arena}) {
+    ASSERT_GE(blocks->size(), 4u);
+  }
+
+  Relation clone(*source);
+  EXPECT_EQ(Peer::DataBlocks(clone), data);  // a clone copies no chunk
+  EXPECT_EQ(Peer::SlotBlocks(clone), slots);
+  EXPECT_EQ(Peer::EntryBlocks(clone, 0b01), entries);
+  EXPECT_EQ(Peer::ArenaBlocks(clone, 0b01), arena);
+
+  ASSERT_TRUE(clone.Insert(Tuple{3, 1'000'000}));
+  clone.RebuildIndexes();
+  // One row, one slot, one index entry, one list: at most the chunk each
+  // write landed in, plus a new tail chunk, per array.
+  EXPECT_LE(Differing(Peer::DataBlocks(clone), data), 2u);
+  EXPECT_LE(Differing(Peer::SlotBlocks(clone), slots), 1u);
+  EXPECT_LE(Differing(Peer::EntryBlocks(clone, 0b01), entries), 1u);
+  EXPECT_LE(Differing(Peer::ArenaBlocks(clone, 0b01), arena), 2u);
+  // The source kept every chunk and every row.
+  EXPECT_EQ(Peer::DataBlocks(*source), data);
+  EXPECT_EQ(Peer::SlotBlocks(*source), slots);
+  EXPECT_EQ(Peer::EntryBlocks(*source, 0b01), entries);
+  EXPECT_EQ(Peer::ArenaBlocks(*source, 0b01), arena);
+  EXPECT_EQ(source->size(), rows);
+  EXPECT_FALSE(source->Contains(Tuple{3, 1'000'000}));
+  std::vector<uint32_t> in_source;
+  source->Probe(0b01, Tuple{3}, 0, source->size(), &in_source);
+  std::vector<uint32_t> in_clone;
+  clone.Probe(0b01, Tuple{3}, 0, clone.size(), &in_clone);
+  EXPECT_EQ(in_clone.size(), in_source.size() + 1);
+}
+
+TEST(RelationChunkTest, CloneOutlivesItsSource) {
+  // The clone holds its own reference to every chunk, so destroying the
+  // source first frees nothing the clone reads (ASan checks the reads).
+  std::unique_ptr<Relation> source = MakeIndexed(
+      static_cast<TermId>(3 * RelationTestPeer::DataChunkRows()), 500);
+  const std::vector<TermId> rows = FlatRows(*source);
+  std::vector<uint32_t> probed;
+  source->Probe(0b01, Tuple{42}, 0, source->size(), &probed);
+  Relation clone(*source);
+  source.reset();
+
+  EXPECT_TRUE(FlatRows(clone) == rows);
+  for (size_t r = 0; r < clone.size(); r += 97) {
+    EXPECT_EQ(clone.FindRow(clone.Row(r)), r);
+  }
+  EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{42}, 0, clone.size()), probed);
+  // And it stays writable: the chunks it now owns alone are written in
+  // place, the rest as usual.
+  ASSERT_TRUE(clone.Retract(Tuple{42, 42}));
+  ASSERT_TRUE(clone.Insert(Tuple{42, 1'000'000}));
+  clone.RebuildIndexes();
+  EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{42}, 0, clone.size()).size(),
+            probed.size());
+}
+
+TEST(RelationChunkTest, WritingTheSourceAfterACloneLeavesTheClone) {
+  // Copying a relation makes the source share its chunks too, so the
+  // source's own later writes copy the chunks before writing them.
+  std::unique_ptr<Relation> source = MakeIndexed(
+      static_cast<TermId>(2 * RelationTestPeer::DataChunkRows() + 7), 300);
+  Relation clone(*source);
+  const std::vector<TermId> rows = FlatRows(clone);
+  const std::vector<uint32_t> probed =
+      ProbeBoth(clone, 0b01, Tuple{5}, 0, clone.size());
+
+  ASSERT_TRUE(source->Retract(Tuple{5, 5}));  // last row moves to chunk 0
+  ASSERT_TRUE(source->Insert(Tuple{5, 1'000'000}));
+  source->RebuildIndexes();
+
+  EXPECT_TRUE(FlatRows(clone) == rows);
+  EXPECT_EQ(RelationTestPeer::Occupied(clone), clone.size());
+  EXPECT_TRUE(clone.Contains(Tuple{5, 5}));
+  EXPECT_FALSE(clone.Contains(Tuple{5, 1'000'000}));
+  EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{5}, 0, clone.size()), probed);
+}
+
+TEST(RelationChunkTest, ClearOnACloneLeavesTheSourcesChunks) {
+  std::unique_ptr<Relation> source = MakeIndexed(
+      static_cast<TermId>(2 * RelationTestPeer::DataChunkRows() + 7), 300);
+  using Peer = RelationTestPeer;
+  const Peer::Blocks data = Peer::DataBlocks(*source);
+  const Peer::Blocks slots = Peer::SlotBlocks(*source);
+  const Peer::Blocks arena = Peer::ArenaBlocks(*source, 0b01);
+  const std::vector<TermId> rows = FlatRows(*source);
+  std::vector<uint32_t> probed;
+  source->Probe(0b01, Tuple{5}, 0, source->size(), &probed);
+
+  Relation clone(*source);
+  clone.Clear();
+  EXPECT_EQ(clone.size(), 0u);
+  EXPECT_EQ(Peer::Capacity(clone), Peer::Capacity(*source));
+  EXPECT_EQ(Peer::Occupied(clone), 0u);
+  ASSERT_TRUE(clone.Insert(Tuple{5, 5}));
+  EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{5}, 0, clone.size()).size(), 1u);
+
+  EXPECT_EQ(Peer::DataBlocks(*source), data);
+  EXPECT_EQ(Peer::SlotBlocks(*source), slots);
+  EXPECT_EQ(Peer::ArenaBlocks(*source, 0b01), arena);
+  EXPECT_TRUE(FlatRows(*source) == rows);
+  EXPECT_EQ(Peer::Occupied(*source), source->size());
+  EXPECT_EQ(ProbeBoth(*source, 0b01, Tuple{5}, 0, source->size()), probed);
 }
 
 TEST(RelationConcurrencyTest, CloneWhileReadersOpenProbesOnNewMasks) {
@@ -709,6 +1155,97 @@ TEST(RelationConcurrencyTest, CloneWhileReadersOpenProbesOnNewMasks) {
     for (std::thread& r : readers) r.join();
     EXPECT_EQ(mismatches.load(), 0);
   }
+}
+
+TEST(RelationConcurrencyTest, WriterPrivatizesWhileReadersDropTheLastPin) {
+  // The MVCC shape: readers pin version N and read it through OpenProbe
+  // and Row while the writer clones N into N+1 and writes the clone. The
+  // writer unpublishes N before writing, so the last pin on N drops on a
+  // reader thread, racing the writer's ownership checks on the chunks
+  // N and N+1 share: a chunk the writer finds unshared must not be read
+  // by anyone any more (TSan checks the ordering). Version v holds the
+  // base rows (i % 64, i) plus (j % 64, kBase + j) for j < v, and every
+  // 8th version also retracts and reinserts a row of the first chunk, so
+  // the swap-with-last moves a row across chunks.
+  constexpr TermId kKeys = 64;
+  const TermId base =
+      static_cast<TermId>(2 * RelationTestPeer::DataChunkRows() + 500);
+  constexpr int kVersions = 120;
+  constexpr size_t kReaders = 3;
+  auto head_rel = std::make_shared<Relation>(2);
+  for (TermId i = 0; i < base; ++i) head_rel->Insert(Tuple{i % kKeys, i});
+  head_rel->RebuildIndexes();
+  std::vector<uint32_t> warm;
+  head_rel->Probe(0b01, Tuple{0}, 0, head_rel->size(), &warm);
+
+  std::mutex head_mutex;
+  std::shared_ptr<const Relation> head = head_rel;
+  int head_version = 0;
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::atomic<int> reads{0};
+  auto expected_rows = [&](int version, TermId key) {
+    size_t n = base / kKeys + (key < base % kKeys ? 1 : 0);
+    for (int j = 0; j < version; ++j) n += static_cast<TermId>(j) % kKeys == key;
+    return n;
+  };
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (uint64_t n = t; !done.load(std::memory_order_acquire); ++n) {
+        std::shared_ptr<const Relation> pin;
+        int version = 0;
+        {
+          std::lock_guard<std::mutex> lock(head_mutex);
+          pin = head;
+          version = head_version;
+        }
+        if (pin == nullptr) {
+          std::this_thread::yield();
+          continue;
+        }
+        const TermId key = static_cast<TermId>(n * 7 % kKeys);
+        size_t found = 0;
+        Relation::Cursor c = pin->OpenProbe(0b01, {&key, 1}, 0, pin->size());
+        for (uint32_t row = c.Next(); row != Relation::Cursor::kDone;
+             row = c.Next()) {
+          found += pin->Row(row)[0] == key;
+        }
+        if (found != expected_rows(version, key) ||
+            pin->size() != base + static_cast<size_t>(version)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+        // `pin` drops here: possibly the last reference to its version.
+      }
+    });
+  }
+  for (int v = 0; v < kVersions; ++v) {
+    std::shared_ptr<const Relation> pinned;
+    {
+      std::lock_guard<std::mutex> lock(head_mutex);
+      pinned = std::move(head);
+      head = nullptr;  // unpublished: only readers' pins hold version v
+    }
+    auto next = std::make_shared<Relation>(*pinned);
+    pinned.reset();
+    next->Insert(Tuple{static_cast<TermId>(v) % kKeys,
+                       base + static_cast<TermId>(v)});
+    if (v % 8 == 0) {
+      const Tuple moved = {static_cast<TermId>(v) % kKeys,
+                           static_cast<TermId>(v)};
+      ASSERT_TRUE(next->Retract(moved));
+      ASSERT_TRUE(next->Insert(moved));
+    }
+    next->RebuildIndexes();
+    std::lock_guard<std::mutex> lock(head_mutex);
+    head = std::move(next);
+    head_version = v + 1;
+  }
+  while (reads.load(std::memory_order_relaxed) < 200) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(DatabaseTest, AddFactValidates) {

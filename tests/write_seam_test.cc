@@ -267,6 +267,44 @@ TEST(WriteSeamTest, DuplicateOnlyBatchKeepsTheCacheWarm) {
   EXPECT_EQ(still_warm.tuples.size(), 7u);
 }
 
+TEST(WriteSeamTest, CowBytesFollowTheTouchedChunksNotTheRelation) {
+  // A one-tuple insert into a 10^5-row relation copies only the chunks the
+  // write lands in (its row's, its dedup slot's, and its index entry's and
+  // row list's): at most a few chunks, against ~8 MB of relation. A
+  // duplicate-only batch copies nothing.
+  Workload w = MakeAncestorChain(100'001);
+  Universe& u = *w.universe;
+  PredId par = ParPred(w);
+  const Relation* rel = w.db.Find(par);
+  ASSERT_EQ(rel->size(), 100'000u);
+  const TermId c0 = u.Constant("c0");
+  std::vector<uint32_t> rows;
+  rel->Probe(0b01, {&c0, 1}, 0, rel->size(), &rows);  // first-column index
+
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(w.program, w.db, options);
+  obs::Counter* cow = service.metrics().GetCounter("magicdb_write_cow_bytes");
+  ASSERT_EQ(cow->value(), 0u);
+
+  WriteBatch insert;
+  insert.Insert(par, {u.Constant("c5"), u.Constant("cow_fresh")});
+  auto inserted = service.ApplyWrites(insert);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  ASSERT_EQ(inserted->relations_mutated, 1u);
+  EXPECT_GT(inserted->cow_bytes, 0u);
+  EXPECT_LE(inserted->cow_bytes, 4 * kChunkBytes);
+  EXPECT_EQ(cow->value(), inserted->cow_bytes);
+
+  WriteBatch duplicate;
+  duplicate.Insert(par, {c0, u.Constant("c1")});
+  auto unchanged = service.ApplyWrites(duplicate);
+  ASSERT_TRUE(unchanged.ok());
+  EXPECT_EQ(unchanged->relations_mutated, 0u);
+  EXPECT_EQ(unchanged->cow_bytes, 0u);
+  EXPECT_EQ(cow->value(), inserted->cow_bytes);
+}
+
 TEST(WriteSeamTest, RetractionMatchesFromScratchEvaluation) {
   // The property the paper's equivalence grants per database instance:
   // after any sequence of retractions, the served answers (for magic,
