@@ -66,7 +66,6 @@ Result<CountingProgram> CountingRewrite(const AdornedProgram& adorned,
   CountingProgram out;
   out.adorned = adorned;
   out.rewritten.program = Program(universe);
-  out.rewritten.strategy_name = "generalized-counting";
   out.m = static_cast<int>(adorned.program.rules().size());
   out.t = 0;
   for (const Rule& rule : adorned.program.rules()) {

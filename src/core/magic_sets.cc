@@ -12,7 +12,6 @@ Result<RewrittenProgram> MagicSetsRewrite(const AdornedProgram& adorned,
   Universe& u = *universe;
   RewrittenProgram out;
   out.program = Program(universe);
-  out.strategy_name = "generalized-magic-sets";
   out.answer_pred = adorned.query_pred;
   out.answer_index_fields = 0;
   out.answer_positions.resize(adorned.query.goal.args.size());

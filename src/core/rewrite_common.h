@@ -2,7 +2,6 @@
 #define MAGIC_CORE_REWRITE_COMMON_H_
 
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +48,6 @@ struct RewrittenProgram {
   std::optional<SeedTemplate> seed;
   /// adorned predicate -> its magic/cnt predicate.
   std::unordered_map<PredId, PredId> magic_of;
-  std::string strategy_name;
 };
 
 /// Instantiates the seed fact(s) for `query` (empty if the rewrite needed no

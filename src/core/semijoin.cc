@@ -527,7 +527,6 @@ Result<CountingProgram> ApplySemijoinOptimization(const CountingProgram& input,
   SemijoinStats local;
   Optimizer optimizer(&out, stats != nullptr ? stats : &local);
   MAGIC_RETURN_IF_ERROR(optimizer.Run());
-  out.rewritten.strategy_name += "+semijoin";
   return out;
 }
 

@@ -67,7 +67,6 @@ Result<CountingProgram> SupplementaryCountingRewrite(
   CountingProgram out;
   out.adorned = adorned;
   out.rewritten.program = Program(universe);
-  out.rewritten.strategy_name = "generalized-supplementary-counting";
   out.m = static_cast<int>(adorned.program.rules().size());
   out.t = 0;
   for (const Rule& rule : adorned.program.rules()) {

@@ -21,7 +21,6 @@ Result<RewrittenProgram> SupplementaryMagicRewrite(
   Universe& u = *universe;
   RewrittenProgram out;
   out.program = Program(universe);
-  out.strategy_name = "generalized-supplementary-magic-sets";
   out.answer_pred = adorned.query_pred;
   out.answer_index_fields = 0;
   out.answer_positions.resize(adorned.query.goal.args.size());

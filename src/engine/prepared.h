@@ -1,7 +1,13 @@
 #ifndef MAGIC_ENGINE_PREPARED_H_
 #define MAGIC_ENGINE_PREPARED_H_
 
-#include "engine/compiled_plan.h"
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "engine/query_engine.h"
+#include "eval/join_program.h"
 
 namespace magic {
 
@@ -10,18 +16,25 @@ namespace magic {
 /// predicate-definitions, and modified rules will result, but the seed will
 /// be specific to the query."
 ///
-/// Prepare() compiles the binding pattern of an exemplar query once — for
-/// *any* strategy — into an immutable CompiledPlan whose universe overlay
-/// holds everything compilation declared; Answer() then serves any instance
-/// of the form by instantiating only the seed. Because the plan (and the
-/// base Universe underneath it) is never written after Prepare, Answer is
-/// concurrently callable for every strategy, including top-down (whose
-/// adornment used to mutate the shared Universe at request time).
+/// Drabent's correctness proof (arXiv:1012.2299) treats the transformed
+/// program as a pure function of (program, query form); a prepared form is
+/// that function's value, for *every* strategy, including the
+/// non-rewriting ones. Prepare() runs all universe-mutating work — top-down
+/// adornment and the rewrites' symbol/predicate declarations — exactly
+/// once, into a form-local Universe overlay: the base Universe is frozen
+/// underneath it, and term ids stay comparable with the EDB because the
+/// overlay shares the base's internally synchronized TermArena. Answer()
+/// then serves any instance of the form by instantiating only the seed.
+/// The compiled state is immutable and shared by copies of the form, so
+/// Answer is const, side-effect-free on shared state, and concurrently
+/// callable for every strategy.
 class PreparedQueryForm {
  public:
   /// Compiles the query form of `exemplar` (its binding pattern; the actual
   /// constants are ignored) under `options.strategy`. All strategies are
   /// accepted; base-predicate queries are rejected (they need no plan).
+  /// With `options.static_safety_check`, a form the Section 10 analysis
+  /// proves divergent fails here with an Unsafe status.
   static Result<PreparedQueryForm> Prepare(const Program& program,
                                            const Query& exemplar,
                                            const EngineOptions& options = {});
@@ -35,7 +48,8 @@ class PreparedQueryForm {
   /// (it aborts as soon as the row limit, deadline, or cancellation fires)
   /// and streams each distinct answer tuple to `sink` as it is derived.
   /// `admitted` anchors the deadline (defaults to entry time) so a serving
-  /// layer can charge queue wait against it.
+  /// layer can charge queue wait against it. All per-request state is
+  /// scratch local to the call.
   QueryAnswer Answer(const std::vector<TermId>& bound_values,
                      const Database& db, const QueryLimits& limits,
                      const AnswerSink& sink = {},
@@ -58,13 +72,50 @@ class PreparedQueryForm {
   /// strategies only; empty for naive/semi-naive/top-down plans).
   const RewrittenProgram& rewritten() const { return plan_->rewritten; }
 
-  /// The underlying immutable plan (shared, never written after Prepare).
-  const CompiledPlan& plan() const { return *plan_; }
+  /// The evaluated program's rules, printed once at compile time; indexed
+  /// like every answer's per-rule `profile`.
+  const std::vector<std::string>& rule_labels() const {
+    return plan_->rule_labels;
+  }
+
+  /// The form's Universe overlay (frozen base + form-local declarations).
+  const Universe& universe() const { return *plan_->universe; }
 
  private:
+  /// Everything Prepare() computes; never written afterwards.
+  struct Plan {
+    std::shared_ptr<Universe> universe;
+    Strategy strategy = Strategy::kSupplementaryMagic;
+    /// Answer() instantiates the exemplar's bound positions per request.
+    Query exemplar;
+    Adornment adornment;
+    /// Bound argument positions, ascending; Answer()'s `bound_values` pair
+    /// up with these.
+    std::vector<int> bound_positions;
+    EvalOptions eval_options;
+    /// The Section 10 verdict, when EngineOptions::static_safety_check.
+    std::string safety_note;
+
+    // Exactly one evaluated program is populated, by strategy family:
+    /// Rewriting strategies: P^mg/P^c/..., evaluated bottom-up from a
+    /// per-instance seed.
+    RewrittenProgram rewritten;
+    /// kTopDown: the adorned program, evaluated QSQR-style.
+    std::optional<AdornedProgram> adorned;
+    /// kNaiveBottomUp / kSemiNaiveBottomUp: the original program, rebound
+    /// to the plan universe.
+    std::optional<Program> original;
+    std::vector<std::string> rule_labels;
+    /// Bottom-up plans: the evaluated program compiled once into
+    /// slot-addressed join programs (eval/join_program.h). Null for
+    /// kTopDown and for provenance-tracking plans, which run the
+    /// interpreter.
+    std::shared_ptr<const JoinProgram> join_program;
+  };
+
   PreparedQueryForm() = default;
 
-  std::shared_ptr<const CompiledPlan> plan_;
+  std::shared_ptr<const Plan> plan_;
 };
 
 }  // namespace magic

@@ -4,7 +4,7 @@
 #include <numeric>
 #include <set>
 
-#include "ast/printer.h"
+#include "engine/prepared.h"
 #include "util/check.h"
 
 namespace magic {
@@ -69,19 +69,16 @@ AnswerStatus ClassifyOutcome(StopReason stop, const Status& status) {
   return status.ok() ? AnswerStatus::kOk : AnswerStatus::kError;
 }
 
-namespace {
-
-/// The projections of `rel`'s answer rows, sorted and deduplicated.
-/// Projects into one flat buffer and sorts the row order there, so the
-/// only per-answer allocation is the output vector itself.
-std::vector<std::vector<TermId>> ProjectSortedUnique(
-    const AnswerProjector& projector, const Relation& rel) {
-  const size_t arity = projector.arity();
+std::vector<std::vector<TermId>> AnswerProjector::ProjectAll(
+    const Relation& rel) const {
+  // Projects into one flat buffer and sorts the row order there, so the
+  // only per-answer allocation is the output vector itself.
+  const size_t arity = free_columns_.size();
   std::vector<TermId> flat;
   std::vector<TermId> projected;
   size_t rows = 0;
   for (size_t row = 0; row < rel.size(); ++row) {
-    if (projector.Project(rel.Row(row), &projected)) {
+    if (Project(rel.Row(row), &projected)) {
       flat.insert(flat.end(), projected.begin(), projected.end());
       ++rows;
     }
@@ -106,21 +103,6 @@ std::vector<std::vector<TermId>> ProjectSortedUnique(
   }
   return out;
 }
-
-/// Pairs each per-rule profile with the rule's text from the program the
-/// engine evaluated (not the user's source program — the rewritten rules
-/// are the ones whose cost is being attributed).
-void FillProfile(const Universe& u, const Program& evaluated,
-                 const std::vector<RuleProfile>& profiles,
-                 QueryAnswer* answer) {
-  answer->profile.reserve(profiles.size());
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    answer->profile.push_back(
-        RuleProfileEntry{RuleToString(u, evaluated.rules()[i]), profiles[i]});
-  }
-}
-
-}  // namespace
 
 AnswerProjector AnswerProjector::ForRewritten(
     const Universe& u, const RewrittenProgram& rewritten, const Query& query) {
@@ -219,15 +201,15 @@ std::vector<std::vector<TermId>> ExtractAnswers(
     const EvalResult& eval) {
   auto it = eval.idb.find(rewritten.answer_pred);
   if (it == eval.idb.end()) return {};
-  return ProjectSortedUnique(
-      AnswerProjector::ForRewritten(u, rewritten, query), it->second);
+  return AnswerProjector::ForRewritten(u, rewritten, query)
+      .ProjectAll(it->second);
 }
 
 std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
                                                       const Query& query,
                                                       const Relation* rel) {
   if (rel == nullptr) return {};
-  return ProjectSortedUnique(AnswerProjector::ForDirect(u, query), *rel);
+  return AnswerProjector::ForDirect(u, query).ProjectAll(*rel);
 }
 
 Result<RewrittenProgram> QueryEngine::Rewrite(const AdornedProgram& adorned,
@@ -286,36 +268,30 @@ QueryAnswer QueryEngine::Run(
     std::optional<std::chrono::steady_clock::time_point> admitted) const {
   QueryAnswer answer;
   answer.strategy_name = StrategyName(options_.strategy);
-  Universe& u = *program.universe();
+  const Universe& u = *program.universe();
   answer.status = CheckQueryArgs(u, query);
   if (!answer.status.ok()) {
     answer.outcome = AnswerStatus::kError;
     return answer;
   }
 
-  // When any bound or sink is active, evaluation runs under an EvalControl
-  // whose on_fact hook filters/projects answer rows as they are derived;
-  // otherwise the legacy extract-after-fixpoint path runs unchanged.
-  const bool controlled = limits.NeedsControl() || static_cast<bool>(sink);
-  AnswerCollector collector(limits.row_limit, sink ? &sink : nullptr);
-  EvalControl control;
-  if (limits.deadline.has_value()) {
-    control.deadline =
-        admitted.value_or(std::chrono::steady_clock::now()) + *limits.deadline;
-  }
-  if (limits.cancel != nullptr) control.cancel = limits.cancel.get();
-  control.trace = limits.trace;
-  EvalOptions eval_options = options_.eval;
-  if (limits.max_facts.has_value()) eval_options.max_facts = *limits.max_facts;
-
-  // Base-predicate queries are direct selections (any strategy).
+  // Base-predicate queries are direct selections (any strategy). With a
+  // bound or a sink the rows stream through the collector, so a row limit
+  // or a deadline stops the scan; otherwise they are extracted in one go.
   if (!program.IsHeadPredicate(query.goal.pred)) {
-    answer.status = Status::OK();
-    if (!controlled) {
-      answer.tuples = ExtractDirectAnswers(u, query, db.Find(query.goal.pred));
+    const Relation* rel = db.Find(query.goal.pred);
+    if (limits.row_limit == 0 && !limits.deadline.has_value() &&
+        limits.cancel == nullptr && !sink) {
+      answer.tuples = ExtractDirectAnswers(u, query, rel);
       return answer;
     }
-    const Relation* rel = db.Find(query.goal.pred);
+    AnswerCollector collector(limits.row_limit, sink ? &sink : nullptr);
+    EvalControl control;
+    if (limits.deadline.has_value()) {
+      control.deadline = admitted.value_or(std::chrono::steady_clock::now()) +
+                         *limits.deadline;
+    }
+    if (limits.cancel != nullptr) control.cancel = limits.cancel.get();
     AnswerProjector projector = AnswerProjector::ForDirect(u, query);
     auto accept = MakeAnswerHook(projector, collector);
     StopReason stop = PollEvalControl(&control);
@@ -337,125 +313,24 @@ QueryAnswer QueryEngine::Run(
     return answer;
   }
 
-  if (options_.strategy == Strategy::kNaiveBottomUp ||
-      options_.strategy == Strategy::kSemiNaiveBottomUp) {
-    eval_options.seminaive =
-        options_.strategy == Strategy::kSemiNaiveBottomUp;
-    AnswerProjector projector = AnswerProjector::ForDirect(u, query);
-    if (controlled) {
-      control.sink_pred = query.goal.pred;
-      control.on_fact = MakeAnswerHook(projector, collector);
-    }
-    Evaluator evaluator(eval_options);
-    EvalResult result =
-        evaluator.Run(program, db, {}, controlled ? &control : nullptr);
-    answer.status = result.status;
-    answer.eval_stats = result.stats;
-    answer.total_facts = result.TotalFacts();
-    if (controlled) {
-      if (!sink) answer.tuples = collector.TakeSorted();
-    } else {
-      auto it = result.idb.find(query.goal.pred);
-      answer.tuples = ExtractDirectAnswers(
-          u, query, it == result.idb.end() ? nullptr : &it->second);
-    }
-    answer.outcome = ClassifyOutcome(result.stop_reason, answer.status);
-    FillProfile(u, program, result.rule_profiles, &answer);
-    if (options_.explain) {
-      answer.rewritten_text = ProgramToString(program);
-    }
-    return answer;
-  }
-
-  // All remaining strategies start from the adorned program.
-  std::unique_ptr<SipStrategy> sip_strategy = MakeSipStrategy(options_.sip);
-  if (sip_strategy == nullptr) {
-    answer.status =
-        Status::InvalidArgument("unknown sip strategy: " + options_.sip);
+  // A one-shot query is its form compiled once and answered once.
+  Result<PreparedQueryForm> form =
+      PreparedQueryForm::Prepare(program, query, options_);
+  if (!form.ok()) {
+    answer.status = form.status();
     answer.outcome = AnswerStatus::kError;
-    return answer;
-  }
-  Result<AdornedProgram> adorned = Adorn(program, query, *sip_strategy);
-  if (!adorned.ok()) {
-    answer.status = adorned.status();
-    answer.outcome = AnswerStatus::kError;
-    return answer;
-  }
-
-  if (options_.static_safety_check) {
-    bool counting = options_.strategy == Strategy::kCounting ||
-                    options_.strategy == Strategy::kSupplementaryCounting ||
-                    options_.strategy == Strategy::kCountingSemijoin ||
-                    options_.strategy == Strategy::kSupCountingSemijoin;
-    SafetyReport report = counting ? CheckCountingSafety(*adorned)
-                                   : CheckMagicSafety(*adorned);
-    answer.safety_note = SafetyVerdictName(report.verdict) + ": " +
-                         report.explanation;
-    if (report.verdict == SafetyVerdict::kUnsafeCountingCycle) {
-      answer.status = Status::Unsafe(answer.safety_note);
-      answer.outcome = AnswerStatus::kError;
-      return answer;
-    }
-  }
-
-  if (options_.strategy == Strategy::kTopDown) {
-    AnswerProjector projector =
-        AnswerProjector::ForDirect(u, adorned->query);
-    if (controlled) {
-      control.sink_pred = adorned->query_pred;
-      control.on_fact = MakeAnswerHook(projector, collector);
-    }
-    TopDownEngine engine(eval_options);
-    TopDownResult result =
-        engine.Run(*adorned, db, controlled ? &control : nullptr);
-    answer.status = result.status;
-    answer.topdown_stats = result.stats;
-    answer.total_facts = result.stats.answers;
-    if (controlled) {
-      if (!sink) answer.tuples = collector.TakeSorted();
-    } else {
-      auto it = result.answers.find(adorned->query_pred);
-      answer.tuples = ExtractDirectAnswers(
-          u, adorned->query,
-          it == result.answers.end() ? nullptr : &it->second);
-    }
-    answer.outcome = ClassifyOutcome(result.stop_reason, answer.status);
-    FillProfile(u, adorned->program, result.rule_profiles, &answer);
-    if (options_.explain) {
-      answer.rewritten_text = ProgramToString(adorned->program);
+    // An Unsafe status carries the safety verdict as its message.
+    if (answer.status.code() == StatusCode::kUnsafe) {
+      answer.safety_note = answer.status.message();
     }
     return answer;
   }
-
-  Result<RewrittenProgram> rewritten =
-      Rewrite(*adorned, options_.strategy, options_.guard_mode);
-  if (!rewritten.ok()) {
-    answer.status = rewritten.status();
-    answer.outcome = AnswerStatus::kError;
-    return answer;
-  }
-  std::vector<Fact> seeds = MakeSeeds(*rewritten, query, u);
-  AnswerProjector projector =
-      AnswerProjector::ForRewritten(u, *rewritten, query);
-  if (controlled) {
-    control.sink_pred = rewritten->answer_pred;
-    control.on_fact = MakeAnswerHook(projector, collector);
-  }
-  Evaluator evaluator(eval_options);
-  EvalResult result = evaluator.Run(rewritten->program, db, seeds,
-                                    controlled ? &control : nullptr);
-  answer.status = result.status;
-  answer.eval_stats = result.stats;
-  answer.total_facts = result.TotalFacts();
-  if (controlled) {
-    if (!sink) answer.tuples = collector.TakeSorted();
-  } else {
-    answer.tuples = ExtractAnswers(u, *rewritten, query, result);
-  }
-  answer.outcome = ClassifyOutcome(result.stop_reason, answer.status);
-  FillProfile(u, rewritten->program, result.rule_profiles, &answer);
+  answer = form->Answer(QueryBoundArgs(u, query), db, limits, sink, admitted);
   if (options_.explain) {
-    answer.rewritten_text = ProgramToString(rewritten->program);
+    for (const std::string& rule : form->rule_labels()) {
+      answer.rewritten_text += rule;
+      answer.rewritten_text += '\n';
+    }
   }
   return answer;
 }

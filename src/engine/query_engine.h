@@ -59,8 +59,9 @@ struct EngineOptions {
   std::string sip = "full";
   GuardMode guard_mode = GuardMode::kProp42;
   EvalOptions eval;
-  /// Run the Section 10 static checks first and refuse strategies the
-  /// analysis proves divergent (counting with a cyclic argument graph).
+  /// Run the Section 10 static checks when a form compiles, and refuse
+  /// forms the analysis proves divergent (counting with a cyclic argument
+  /// graph) with an Unsafe status.
   bool static_safety_check = false;
   /// Attach the rewritten program's text to the answer (for explain output).
   bool explain = false;
@@ -85,12 +86,6 @@ struct QueryLimits {
   /// when non-null the evaluation records its fixpoint span here. Borrowed
   /// for the duration of the run; single-request ownership.
   obs::Trace* trace = nullptr;
-
-  /// True when any bound requires the evaluation-time control hook.
-  bool NeedsControl() const {
-    return row_limit != 0 || deadline.has_value() || cancel != nullptr ||
-           trace != nullptr;
-  }
 };
 
 // AnswerStatus (how one request ended, beyond its Status) lives in
@@ -141,8 +136,10 @@ struct QueryAnswer {
   bool truncated() const { return outcome == AnswerStatus::kTruncated; }
 };
 
-/// One-stop facade: validate -> adorn -> rewrite -> (safety-check) ->
-/// evaluate -> extract answers.
+/// One-shot facade: a base-predicate query is a direct selection; any
+/// other query compiles its own form (PreparedQueryForm::Prepare) and
+/// answers its bound values through it, with the evaluated program's text
+/// attached when EngineOptions::explain is set.
 class QueryEngine {
  public:
   explicit QueryEngine(EngineOptions options = {}) : options_(options) {}
@@ -181,8 +178,7 @@ std::vector<std::vector<TermId>> ExtractAnswers(
 /// Answers from a direct (non-rewritten) evaluation: selects rows of the
 /// query predicate matching the bound constants (and agreeing wherever the
 /// query repeats a variable) and projects the free positions (sorted,
-/// deduplicated). Used by the naive/semi-naive/top-down compiled plans —
-/// over a top-down run's answer table — and by base-predicate selections.
+/// deduplicated). Used by base-predicate selections.
 std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
                                                       const Query& query,
                                                       const Relation* rel);
@@ -208,6 +204,9 @@ class AnswerProjector {
   /// answer row of this instance.
   bool Project(std::span<const TermId> tuple,
                std::vector<TermId>* out) const;
+
+  /// The projections of `rel`'s answer rows, sorted and deduplicated.
+  std::vector<std::vector<TermId>> ProjectAll(const Relation& rel) const;
 
   /// Length of every projected tuple (the query's free positions).
   size_t arity() const { return free_columns_.size(); }

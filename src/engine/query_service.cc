@@ -247,7 +247,7 @@ QueryService::CachedForm* QueryService::GetOrCompile(
       "magicdb_form_latency_ns", inline_labels,
       "Per-instance serving latency by stage (eval vs cache_inline)");
   const std::vector<std::string>& rule_labels =
-      cached.form->plan().rule_labels;
+      cached.form->rule_labels();
   cached.rule_counters.reserve(rule_labels.size());
   for (size_t i = 0; i < rule_labels.size(); ++i) {
     // Rules are labelled by index (the full rule text lives in the stats
@@ -309,21 +309,23 @@ QueryAnswer QueryService::DeadlineShedAnswer() const {
 
 bool QueryService::TryServeCached(CachedForm* cached,
                                   const std::vector<TermId>& bound_values,
-                                  uint64_t version, const QueryLimits& limits,
+                                  const QueryLimits& limits,
                                   const AnswerSink& sink,
                                   const Completion& done) {
   // Instances with a malformed seed must flow to Answer() for its error
   // reporting; they can never have been cached (fills follow successful
   // evaluations only).
   if (bound_values.size() != cached->form->bound_arity()) return false;
-  // No write fence is needed around the probe: a hit keyed at version V
-  // is the complete answer for V, and serving it while version V+1
-  // publishes concurrently is linearizable — the request overlapped the
-  // write. Post-write reads are still never stale, because a publish
-  // happens-before ApplyWrites returns, so a request submitted after the
-  // write probes at >= V+1 and misses every older entry.
+  // The probe keys by the current version number (one lock-free counter
+  // load, no pin, no shared_ptr traffic) and needs no write fence: a hit
+  // keyed at version V is the complete answer for V, and serving it while
+  // version V+1 publishes concurrently is linearizable — the request
+  // overlapped the write. Post-write reads are still never stale, because
+  // a publish happens-before ApplyWrites returns, so a request submitted
+  // after the write probes at >= V+1 and misses every older entry.
   std::shared_ptr<const AnswerCache::Tuples> tuples =
-      cache_.Get(CacheTag(cached->form.get()), bound_values, version);
+      cache_.Get(CacheTag(cached->form.get()), bound_values,
+                 versions_.current_version());
   if (tuples == nullptr) return false;
   ServeHit(cached, std::move(tuples), limits, sink, done);
   return true;
@@ -401,14 +403,12 @@ void QueryService::DispatchForm(CachedForm* cached,
   const bool obs_on = options_.obs.enabled;
   const uint64_t t_anchor = obs_on ? ToNs(admitted) : 0;
 
-  // The inline probe keys by the current version number — one lock-free
-  // counter load, no pin, no shared_ptr traffic. Racing a publish is fine:
-  // a hit at version V is V's complete answer (see TryServeCached), and a
-  // miss just flows to the worker path, which pins a full snapshot.
+  // The inline probe needs no pin: a hit at version V is V's complete
+  // answer (see TryServeCached), and a miss just flows to the worker path,
+  // which pins a full snapshot.
   const uint64_t probe_start = obs_on ? obs::Trace::NowNs() : 0;
-  const uint64_t version = cache_.enabled() ? versions_.current_version() : 0;
   if (cache_.enabled() &&
-      TryServeCached(cached, bound_values, version, limits, sink, done)) {
+      TryServeCached(cached, bound_values, limits, sink, done)) {
     // Warm hit: completed inline — no worker, no admission slot, and no
     // Trace allocation. Two histogram cells record it, under the form's
     // distinct `cache_inline` stage.
@@ -446,18 +446,9 @@ void QueryService::DispatchForm(CachedForm* cached,
                 limits = std::move(limits), sink = std::move(sink),
                 done = std::move(done), admitted, trace = std::move(trace),
                 t_anchor, t_submit]() mutable {
-    // Pin a snapshot for the whole evaluation: a pointer copy under the
-    // chain's leaf mutex, never waits for a writer's apply, and the
-    // snapshot's relations can never mutate out from under the fixpoint
-    // (writers clone-on-write instead). The second-chance probe and the
-    // fill below are keyed by the pinned version — the version of the data
-    // this evaluation actually reads — even when the request was
-    // dispatched before a write and evaluated after it.
-    const std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
     if (trace != nullptr) {
       trace->Record(obs::Stage::kQueueWait, t_submit, obs::Trace::NowNs());
     }
-    const uint64_t version = cache_.enabled() ? pinned->version() : 0;
     // Deadline-aware dispatch: a request whose deadline expired while it
     // sat in the pool queue completes immediately — the client is gone;
     // entering the fixpoint would burn a worker on an unwanted answer.
@@ -471,10 +462,10 @@ void QueryService::DispatchForm(CachedForm* cached,
     }
     // Second chance: a fill that completed while this request sat in the
     // pool queue serves it now, so a burst of repeated seeds evaluates at
-    // most once per worker, not once per repeat. The probe takes only the
-    // cache shard locks.
+    // most once per worker, not once per repeat. Like the inline probe it
+    // needs no pin; it takes only the cache shard locks.
     if (cache_.enabled() &&
-        TryServeCached(cached, bound_values, version, limits, sink, done)) {
+        TryServeCached(cached, bound_values, limits, sink, done)) {
       if (trace != nullptr) {
         // Served by another request's fill while queued: latency-wise this
         // is a cache serve, so it records as cache_inline, not eval.
@@ -485,6 +476,15 @@ void QueryService::DispatchForm(CachedForm* cached,
       pending_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
+    // Pin a snapshot for the whole evaluation: a pointer copy under the
+    // chain's leaf mutex, never waits for a writer's apply, and the
+    // snapshot's relations can never mutate out from under the fixpoint
+    // (writers clone-on-write instead). The fill below is keyed by the
+    // pinned version — the version of the data this evaluation actually
+    // reads — even when the request was dispatched before a write and
+    // evaluated after it.
+    std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
+    const uint64_t version = cache_.enabled() ? pinned->version() : 0;
     // Hand the trace to the engine: the fixpoint span is recorded inside
     // Evaluator/TopDownEngine (they own the evaluation interval).
     limits.trace = trace.get();
@@ -509,6 +509,9 @@ void QueryService::DispatchForm(CachedForm* cached,
     }
     QueryAnswer answer = cached->form->Answer(bound_values, pinned->db(),
                                               limits, counted, admitted);
+    // Unpin before the answer is fulfilled: once a caller holds its answer,
+    // the version it read is no longer kept alive by this request.
+    pinned.reset();
     const uint64_t eval_ns =
         static_cast<uint64_t>(watch.ElapsedSeconds() * 1e9);
     cached->queries->Add();
@@ -588,9 +591,12 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
       return;
     }
     const auto admitted = std::chrono::steady_clock::now();
-    pool_.Submit([this, query = request.query, limits = request.limits,
+    EngineOptions engine_options = options_.engine;
+    engine_options.strategy =
+        request.strategy.value_or(engine_options.strategy);
+    pool_.Submit([this, engine_options = std::move(engine_options),
+                  query = request.query, limits = request.limits,
                   sink = std::move(sink), done = std::move(done), admitted] {
-      const std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
       if (limits.deadline.has_value() &&
           std::chrono::steady_clock::now() >= admitted + *limits.deadline) {
         deadline_shed_->Add();
@@ -599,9 +605,11 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
         done(DeadlineShedAnswer());
         return;
       }
-      QueryEngine engine(options_.engine);
+      std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
+      QueryEngine engine(engine_options);
       QueryAnswer answer = engine.Run(program_, query, pinned->db(), limits,
                                       sink, admitted);
+      pinned.reset();  // unpin before the answer is fulfilled
       queries_served_->Add();
       if (options_.obs.enabled) {
         request_latency_->Record(obs::Trace::NowNs() - ToNs(admitted));
@@ -1002,7 +1010,7 @@ QueryService::Stats QueryService::stats() const {
     form_stats.inline_latency = cached.inline_latency->Snapshot();
     form_stats.eval_micros = form_stats.eval_latency.sum / 1000;
     const std::vector<std::string>& rule_labels =
-        cached.form->plan().rule_labels;
+        cached.form->rule_labels();
     form_stats.profile.reserve(cached.rule_counters.size());
     for (size_t i = 0; i < cached.rule_counters.size(); ++i) {
       const RuleCounters& rc = cached.rule_counters[i];

@@ -487,9 +487,10 @@ class QueryService {
                 bool enforce_admission, Completion done);
 
   /// The handle hot path: an answer-cache probe, then (on a miss) pool
-  /// dispatch — the worker pins the current database version, re-probes
-  /// the cache, and evaluates against that snapshot; clean complete
-  /// answers fill the cache on the way out. The request is admitted (and
+  /// dispatch — the worker re-probes the cache, then pins the current
+  /// database version and evaluates against that snapshot; clean complete
+  /// answers fill the cache on the way out, and the pin is dropped before
+  /// the answer is fulfilled. The request is admitted (and
   /// its deadline anchored) on entry, so queue wait counts against it.
   /// `compile_span` (end_ns != 0 when present) is the request-tier
   /// compile interval, recorded into the trace when one is allocated.
@@ -498,16 +499,14 @@ class QueryService {
                     bool enforce_admission, Completion done,
                     obs::Span compile_span = {});
 
-  /// Serves `cached`'s instance from the AnswerCache on an exact-key hit.
-  /// `version` is the database version the caller probes under: workers
-  /// pass the version they pinned, the inline path passes the chain's
-  /// lock-free current version number. No fence is needed in either case
-  /// — a hit keyed at version V is the complete answer for V, and serving
-  /// it while V+1 publishes concurrently is linearizable (the request
-  /// overlapped the write). Returns true when `done` was invoked.
+  /// Serves `cached`'s instance from the AnswerCache on an exact-key hit
+  /// at the chain's current version number. No fence is needed — a hit
+  /// keyed at version V is the complete answer for V, and serving it while
+  /// V+1 publishes concurrently is linearizable (the request overlapped
+  /// the write). Returns true when `done` was invoked.
   bool TryServeCached(CachedForm* cached,
                       const std::vector<TermId>& bound_values,
-                      uint64_t version, const QueryLimits& limits,
+                      const QueryLimits& limits,
                       const AnswerSink& sink, const Completion& done);
 
   /// Completes a request from a cached tuple set: applies the row limit,

@@ -148,8 +148,9 @@ struct JoinProgram;
 /// runs rules as slot-addressed JoinPrograms with allocation-free joins,
 /// and the generic interpreter remains as the reference implementation and
 /// the provenance path. Run() picks the compiled path unless the run needs
-/// provenance; callers holding a pre-compiled JoinProgram (CompiledPlan)
-/// use the JoinProgram overload and skip per-run compilation entirely.
+/// provenance; callers holding a pre-compiled JoinProgram (a
+/// PreparedQueryForm) use the JoinProgram overload and skip per-run
+/// compilation entirely.
 class Evaluator {
  public:
   explicit Evaluator(EvalOptions options = {}) : options_(options) {}
@@ -162,9 +163,9 @@ class Evaluator {
                  const std::vector<Fact>& seeds = {},
                  const EvalControl* control = nullptr) const;
 
-  /// Runs a pre-compiled JoinProgram (see CompiledPlan, which compiles one
-  /// per bottom-up plan at Prepare time). `u` must be the universe the
-  /// program was compiled against.
+  /// Runs a pre-compiled JoinProgram (see PreparedQueryForm, which
+  /// compiles one per bottom-up form at Prepare time). `u` must be the
+  /// universe the program was compiled against.
   EvalResult Run(const JoinProgram& join_program, const Universe& u,
                  const Database& edb, const std::vector<Fact>& seeds = {},
                  const EvalControl* control = nullptr) const;

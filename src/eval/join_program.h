@@ -37,8 +37,9 @@ namespace magic {
 ///
 /// A JoinProgram is immutable after Compile and borrows nothing from the
 /// Program it was compiled from except term/predicate ids, which resolve
-/// through the Universe passed to RunJoinProgram — it can therefore hang
-/// off a CompiledPlan and serve concurrent evaluations.
+/// through the Universe passed to RunJoinProgram — it can therefore live
+/// in a PreparedQueryForm's compiled state and serve concurrent
+/// evaluations.
 
 /// How one argument position participates in the join.
 enum class ArgOp : uint8_t {

@@ -20,15 +20,18 @@ TEST(PreparedQueryFormTest, OneRewriteServesManyInstances) {
   EXPECT_EQ(form->adornment().ToString(), "bf");
 
   // Querying different constants through the same compiled form matches
-  // fresh engine runs.
+  // fresh semi-naive runs of the original program (its least model
+  // restricted to the query).
+  EngineOptions reference;
+  reference.strategy = Strategy::kSemiNaiveBottomUp;
   for (const char* node : {"c0", "c5", "c12", "c19"}) {
     QueryAnswer prepared = form->Answer({u.Constant(node)}, w.db);
     ASSERT_TRUE(prepared.status.ok()) << prepared.status.ToString();
 
     Query fresh_query = w.query;
     fresh_query.goal.args[0] = u.Constant(node);
-    QueryAnswer fresh = QueryEngine(options).Run(w.program, fresh_query,
-                                                 w.db);
+    QueryAnswer fresh = QueryEngine(reference).Run(w.program, fresh_query,
+                                                   w.db);
     ASSERT_TRUE(fresh.status.ok());
     EXPECT_EQ(prepared.tuples, fresh.tuples) << node;
   }
@@ -52,6 +55,8 @@ TEST(PreparedQueryFormTest, CompilesNonRewritingStrategies) {
   // Answer serves instances without re-adorning.
   Workload w = MakeAncestorChain(12);
   Universe& u = *w.universe;
+  EngineOptions reference;
+  reference.strategy = Strategy::kSemiNaiveBottomUp;
   for (Strategy strategy : {Strategy::kNaiveBottomUp,
                             Strategy::kSemiNaiveBottomUp,
                             Strategy::kTopDown}) {
@@ -68,7 +73,7 @@ TEST(PreparedQueryFormTest, CompilesNonRewritingStrategies) {
       Query fresh_query = w.query;
       fresh_query.goal.args[0] = u.Constant(node);
       QueryAnswer fresh =
-          QueryEngine(options).Run(w.program, fresh_query, w.db);
+          QueryEngine(reference).Run(w.program, fresh_query, w.db);
       ASSERT_TRUE(fresh.status.ok());
       EXPECT_EQ(prepared.tuples, fresh.tuples)
           << StrategyName(strategy) << " @ " << node;
@@ -81,7 +86,9 @@ TEST(PreparedQueryFormTest, CompilationNeverTouchesTheBaseUniverse) {
   // including top-down adornment and the rewrites' magic/supplementary
   // predicates — lands in the plan's overlay; the shared base tables are
   // byte-for-byte untouched, which is what makes prepared evaluation
-  // side-effect-free and concurrently callable for every strategy.
+  // side-effect-free and concurrently callable for every strategy. A
+  // one-shot QueryEngine::Run compiles its own form, so it must leave the
+  // base untouched too.
   Workload w = MakeAncestorChain(8);
   const Universe& u = *w.universe;
   const size_t symbols_before = u.symbols().size();
@@ -99,11 +106,16 @@ TEST(PreparedQueryFormTest, CompilationNeverTouchesTheBaseUniverse) {
     EXPECT_EQ(u.predicates().size(), preds_before) << StrategyName(strategy);
     // The plan's overlay sees the declarations (for compiling strategies)
     // layered over the unchanged base ids.
-    const Universe& plan_u = *form->plan().universe;
+    const Universe& plan_u = form->universe();
     EXPECT_TRUE(plan_u.is_overlay());
     EXPECT_GE(plan_u.predicates().size(), preds_before);
     // Base ids resolve identically through the overlay.
     EXPECT_EQ(plan_u.symbols().Name(0), u.symbols().Name(0));
+
+    QueryAnswer one_shot = QueryEngine(options).Run(w.program, w.query, w.db);
+    ASSERT_TRUE(one_shot.status.ok()) << StrategyName(strategy);
+    EXPECT_EQ(u.symbols().size(), symbols_before) << StrategyName(strategy);
+    EXPECT_EQ(u.predicates().size(), preds_before) << StrategyName(strategy);
   }
 }
 

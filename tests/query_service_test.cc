@@ -104,8 +104,10 @@ TEST(QueryServiceTest, BatchMatchesSingleThreadedEngineForEveryStrategy) {
     std::vector<QueryAnswer> answers = service.AnswerBatch(batch);
     ASSERT_EQ(answers.size(), batch.size());
 
+    // The reference is the original program's least model restricted to
+    // each query (semi-naive), independent of the served strategy.
     EngineOptions engine_options;
-    engine_options.strategy = strategy;
+    engine_options.strategy = Strategy::kSemiNaiveBottomUp;
     QueryEngine engine(engine_options);
     for (size_t i = 0; i < batch.size(); ++i) {
       ASSERT_TRUE(answers[i].status.ok())
@@ -141,7 +143,9 @@ TEST(QueryServiceTest, SameGenerationBatchMatchesEngine) {
   QueryService service(w.program, w.db, options);
   std::vector<QueryAnswer> answers = service.AnswerBatch(batch);
 
-  QueryEngine engine;
+  EngineOptions reference;
+  reference.strategy = Strategy::kSemiNaiveBottomUp;
+  QueryEngine engine(reference);
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(answers[i].status.ok()) << answers[i].status.ToString();
     QueryAnswer expected = engine.Run(w.program, batch[i].query, w.db);
@@ -169,18 +173,15 @@ TEST(QueryServiceTest, ConcurrentClientsShareOneServiceAndFormCache) {
   for (int i = 0; i < 20; ++i) {
     queries.push_back(InstanceAt(w, "c" + std::to_string(i)));
   }
-  std::vector<std::vector<std::vector<std::vector<TermId>>>> expected;
-  for (Strategy strategy : kPreparableStrategies) {
-    EngineOptions engine_options;
-    engine_options.strategy = strategy;
-    QueryEngine engine(engine_options);
-    std::vector<std::vector<std::vector<TermId>>> per_query;
-    for (const Query& query : queries) {
-      QueryAnswer answer = engine.Run(w.program, query, w.db);
-      ASSERT_TRUE(answer.status.ok());
-      per_query.push_back(answer.tuples);
-    }
-    expected.push_back(std::move(per_query));
+  // One reference per query for every strategy: the original program's
+  // least model restricted to the query (semi-naive).
+  std::vector<std::vector<std::vector<TermId>>> expected;
+  EngineOptions reference;
+  reference.strategy = Strategy::kSemiNaiveBottomUp;
+  for (const Query& query : queries) {
+    QueryAnswer answer = QueryEngine(reference).Run(w.program, query, w.db);
+    ASSERT_TRUE(answer.status.ok());
+    expected.push_back(answer.tuples);
   }
 
   constexpr int kClients = 8;
@@ -199,7 +200,7 @@ TEST(QueryServiceTest, ConcurrentClientsShareOneServiceAndFormCache) {
           request.strategy = kPreparableStrategies[strategy_index];
           QueryAnswer answer = service.Submit(request).get();
           if (!answer.status.ok() ||
-              answer.tuples != expected[strategy_index][query_index]) {
+              answer.tuples != expected[query_index]) {
             ++failures[c];
           }
         }
@@ -233,10 +234,13 @@ TEST(QueryServiceTest, BasePredicateQueriesAreDirectSelections) {
   QueryService service(w.program, w.db, options);
   QueryRequest request;
   request.query = query;
+  request.strategy = Strategy::kTopDown;
   QueryAnswer answer = service.Answer(request);
   ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
   ASSERT_EQ(answer.tuples.size(), 1u);
   EXPECT_EQ(u.TermToString(answer.tuples[0][0]), "c4");
+  // The answer names the strategy the request asked for.
+  EXPECT_EQ(answer.strategy_name, "topdown");
   EXPECT_EQ(service.stats().forms_compiled, 0u);
 }
 
@@ -270,7 +274,7 @@ TEST(QueryServiceTest, ServesNonRewritingStrategiesAsPreparedForms) {
     ASSERT_TRUE(answers[i].status.ok())
         << "query #" << i << ": " << answers[i].status.ToString();
     EngineOptions engine_options;
-    engine_options.strategy = *batch[i].strategy;
+    engine_options.strategy = Strategy::kSemiNaiveBottomUp;
     QueryAnswer expected =
         QueryEngine(engine_options).Run(w.program, batch[i].query, w.db);
     EXPECT_EQ(answers[i].tuples, expected.tuples)
@@ -726,6 +730,62 @@ TEST(QueryServiceTest, RepeatedSeedServesFromAnswerCache) {
   EXPECT_EQ(stats.forms[0].rows, 15u + 15u + 4u);
 }
 
+TEST(QueryServiceTest, ColdAndWarmAnswersShareTheStrategyName) {
+  // Cache temperature must not change what a client observes, and that
+  // includes the strategy an answer names.
+  Workload w = MakeAncestorChain(8);
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  QueryService service(w.program, w.db, options);
+  QueryRequest request;
+  request.query = w.query;
+  request.strategy = Strategy::kMagic;
+  QueryAnswer cold = service.Answer(request);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_FALSE(cold.from_cache);
+  EXPECT_EQ(cold.strategy_name, "gms");
+  QueryAnswer warm = service.Answer(request);
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(warm.strategy_name, "gms");
+}
+
+TEST(QueryServiceTest, StaticSafetyCheckRefusesDivergentCountingForms) {
+  // Thm 10.3: counting on a program whose argument graph is cyclic may
+  // diverge, so with the static check on the form fails to compile — on
+  // the handle path and the request path alike. Magic sets stay safe on
+  // the same program (Thm 10.2).
+  auto parsed = ParseUnit(R"(
+    a(X,Y) :- p(X,Y).
+    a(X,Y) :- a(X,Z), a(Z,Y).
+    p(c0,c1). p(c1,c2).
+    ?- a(c0, Y).
+  )");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Database db(parsed->program.universe());
+  for (const Fact& fact : parsed->facts) ASSERT_TRUE(db.AddFact(fact).ok());
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  options.engine.strategy = Strategy::kCounting;
+  options.engine.static_safety_check = true;
+  // A service that skipped the check would run the divergent fixpoint;
+  // the cap turns that into a failed assertion instead of a hang.
+  options.engine.eval.max_facts = 10000;
+  QueryService service(parsed->program, db, options);
+
+  QueryRequest request;
+  request.query = *parsed->query;
+  EXPECT_EQ(service.Prepare(request).status().code(), StatusCode::kUnsafe);
+  QueryAnswer refused = service.Submit(request).get();
+  EXPECT_EQ(refused.outcome, AnswerStatus::kError);
+  EXPECT_EQ(refused.status.code(), StatusCode::kUnsafe);
+  EXPECT_TRUE(refused.tuples.empty());
+
+  request.strategy = Strategy::kMagic;
+  QueryAnswer magic = service.Submit(request).get();
+  ASSERT_TRUE(magic.status.ok()) << magic.status.ToString();
+  EXPECT_EQ(magic.tuples.size(), 2u);
+}
+
 TEST(QueryServiceTest, PostWriteQueryNeverServesStaleAnswer) {
   // The issue's invalidation bar: an EDB write between two identical
   // queries must yield the updated answer — the cache may never serve the
@@ -939,8 +999,12 @@ TEST(QueryServiceTest, NonGroundCompoundGoalArgumentsAreRejected) {
   }
 
   // A ground compound argument is a bound seed and keeps working.
+  // The reference runs top-down: list reverse is not range restricted, so
+  // it has no semi-naive evaluation.
   Workload w = MakeListReverse(3);
-  QueryAnswer direct = QueryEngine().Run(w.program, w.query, w.db);
+  EngineOptions reference;
+  reference.strategy = Strategy::kTopDown;
+  QueryAnswer direct = QueryEngine(reference).Run(w.program, w.query, w.db);
   ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
   ASSERT_EQ(direct.tuples.size(), 1u);
   QueryServiceOptions options;
