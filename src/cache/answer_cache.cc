@@ -9,20 +9,69 @@
 
 namespace magic {
 
+namespace {
+
+/// MurmurHash3's 64-bit finalizer: every output bit depends on every
+/// input bit. HashCombine alone leaves a small seed id in the low bits.
+uint64_t Mix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// The zigzag code of `id - prev` read as a signed 32-bit difference, so
+/// small steps either way take few varint bytes.
+uint32_t ZigzagDelta(TermId prev, TermId id) {
+  const uint32_t delta = id - prev;  // mod 2^32
+  return (delta << 1) ^ (0u - (delta >> 31));
+}
+
+size_t VarintSize(uint32_t value) {
+  size_t size = 1;
+  for (; value >= 0x80; value >>= 7) ++size;
+  return size;
+}
+
+uint8_t* WriteVarint(uint32_t value, uint8_t* out) {
+  for (; value >= 0x80; value >>= 7) {
+    *out++ = static_cast<uint8_t>(value | 0x80);
+  }
+  *out++ = static_cast<uint8_t>(value);
+  return out;
+}
+
+}  // namespace
+
 size_t AnswerCache::HashOf(uintptr_t tag, uint64_t version,
                            std::span<const TermId> seed) {
   uint64_t h = HashCombine(static_cast<uint64_t>(tag), version);
-  return static_cast<size_t>(HashRange(seed.begin(), seed.end(), h));
+  return static_cast<size_t>(Mix64(HashRange(seed.begin(), seed.end(), h)));
 }
 
 AnswerCache::Tuples::Tuples(const std::vector<std::vector<TermId>>& rows)
     : arity_(rows.empty() ? 0 : static_cast<uint32_t>(rows[0].size())),
       rows_(rows.size()) {
-  data_.reserve(rows_ * arity_);
-  for (const std::vector<TermId>& row : rows) {
-    MAGIC_CHECK(row.size() == arity_);
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
+  // Calls `code(z)` with each id's zigzag delta, in storage order.
+  auto each_code = [&](auto&& code) {
+    const std::vector<TermId>* prev = nullptr;
+    for (const std::vector<TermId>& row : rows) {
+      MAGIC_CHECK(row.size() == arity_);
+      for (uint32_t c = 0; c < arity_; ++c) {
+        code(ZigzagDelta(prev ? (*prev)[c] : 0, row[c]));
+      }
+      prev = &row;
+    }
+  };
+  // Sized exactly before encoding, so the capacity the budget counts is
+  // the encoded size.
+  size_t size = 0;
+  each_code([&](uint32_t z) { size += VarintSize(z); });
+  bytes_.resize(size);
+  uint8_t* out = bytes_.data();
+  each_code([&](uint32_t z) { out = WriteVarint(z, out); });
 }
 
 AnswerCache::AnswerCache(AnswerCacheOptions options)
@@ -51,10 +100,11 @@ std::shared_ptr<const AnswerCache::Tuples> AnswerCache::Get(
 }
 
 size_t AnswerCache::EntryBytes(const Key& key, const Tuples& tuples) {
-  // Real bytes, allocator headers aside: the two id arrays' capacities,
-  // the Entry in its LRU node (16: two links), the index node (56: next
-  // link, KeyView, iterator, cached hash) and its bucket slot (8), and the
-  // make_shared block around the Tuples (16: vtable pointer, two counts).
+  // Real bytes, allocator headers aside: the seed's capacity, the packed
+  // tuple bytes, the Entry in its LRU node (16: two links), the index node
+  // (56: next link, KeyView, iterator, cached hash) and its bucket slot
+  // (8), and the make_shared block around the Tuples (16: vtable pointer,
+  // two counts).
   constexpr size_t kNodeOverhead = 16 + 56 + 8;
   constexpr size_t kControlBlock = 16;
   return kNodeOverhead + sizeof(Entry) + kControlBlock + sizeof(Tuples) +

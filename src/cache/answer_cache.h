@@ -8,6 +8,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/term.h"
@@ -17,11 +18,12 @@ namespace magic {
 
 struct AnswerCacheOptions {
   /// Total byte budget across all shards, in real bytes: each entry counts
-  /// its flat tuple array's capacity, its seed, and the fixed size of its
-  /// entry, index and LRU nodes and payload control block. An entry whose
-  /// own footprint exceeds the per-shard share is not cached at all. 0
-  /// disables the cache (Get always misses, Put is a no-op).
-  size_t max_bytes = size_t{64} << 20;
+  /// its packed tuple bytes, its seed, and the fixed size of its entry,
+  /// index and LRU nodes and payload control block. An entry whose own
+  /// footprint exceeds the per-shard share (512 KiB at the defaults) is not
+  /// cached at all. 0 disables the cache (Get always misses, Put is a
+  /// no-op).
+  size_t max_bytes = size_t{8} << 20;
   /// Shard count, rounded up to a power of two. More shards mean less
   /// lock contention, at the cost of a coarser (per-shard) LRU horizon.
   size_t shards = 16;
@@ -42,9 +44,12 @@ struct AnswerCacheOptions {
 /// no sweep, no lock on the write path. Stale entries stop being touched
 /// and age out of the byte-budgeted LRU.
 ///
-/// Each answer is one flat, arity-strided array (Tuples), so a fill is one
+/// Each answer is one packed byte array (Tuples), so a fill is one
 /// allocation, an eviction one free, and an entry's footprint (what
-/// Stats::bytes and the budget count) is its real size, computed in O(1).
+/// Stats::bytes and the budget count) is its real, encoded size, computed
+/// in O(1). Entries are spread over the shards by a fully mixed hash of
+/// (tag, version, seed), so one form's answers at one version use every
+/// shard's share.
 ///
 /// Concurrency contract:
 ///   * Each shard is one mutex (rank kCacheShard, a data-plane leaf:
@@ -62,27 +67,60 @@ struct AnswerCacheOptions {
 ///     returned by Get stays valid after the entry is evicted.
 class AnswerCache {
  public:
-  /// One cached answer: an immutable array of `size()` tuples of
-  /// `arity()` ids each, stored flat (tuple i is ids [i * arity,
-  /// (i + 1) * arity)) in the caller's order.
+  /// One cached answer: an immutable sequence of `size()` tuples of
+  /// `arity()` ids each, in the caller's order, packed into one byte
+  /// array. Each id is the zigzag varint of its difference (mod 2^32) from
+  /// the id in the same column of the previous tuple (of 0, for the first
+  /// tuple). Answers arrive sorted, so ids sit close together and most
+  /// take one or two bytes instead of four. The one read is a forward
+  /// decode.
   class Tuples {
    public:
-    /// Copies `rows` flat. Every row must have the first row's arity (an
-    /// empty `rows` gives arity 0).
+    /// Packs `rows`. Every row must have the first row's arity (an empty
+    /// `rows` gives arity 0).
     explicit Tuples(const std::vector<std::vector<TermId>>& rows);
 
     size_t size() const { return rows_; }
     uint32_t arity() const { return arity_; }
-    std::span<const TermId> operator[](size_t i) const {
-      return {data_.data() + i * arity_, arity_};
+    /// Heap bytes of the packed array (exactly its encoded size).
+    size_t heap_bytes() const { return bytes_.capacity(); }
+
+    /// Decodes the first min(limit, size()) tuples front to back into one
+    /// reused row and calls `visit(const std::vector<TermId>&)` on each,
+    /// stopping after the first call that returns false. Returns how many
+    /// tuples were visited, the one that stopped the decode included.
+    template <typename Visit>
+    size_t Decode(size_t limit, Visit&& visit) const {
+      const size_t n = std::min(limit, rows_);
+      std::vector<TermId> row(arity_, 0);
+      TermId* const ids = row.data();
+      const uint32_t arity = arity_;
+      const uint8_t* p = bytes_.data();
+      for (size_t i = 0; i < n; ++i) {
+        for (uint32_t c = 0; c < arity; ++c) {
+          const uint32_t z = ReadVarint(&p);
+          ids[c] += (z >> 1) ^ (0u - (z & 1));  // un-zigzag, add mod 2^32
+        }
+        if (!visit(std::as_const(row))) return i + 1;
+      }
+      return n;
     }
-    /// Heap bytes of the flat array.
-    size_t heap_bytes() const { return data_.capacity() * sizeof(TermId); }
 
    private:
+    static uint32_t ReadVarint(const uint8_t** p) {
+      uint32_t byte = *(*p)++;
+      if (byte < 0x80) return byte;  // the common one-byte id
+      uint32_t value = byte & 0x7f;
+      for (int shift = 7; byte >= 0x80; shift += 7) {
+        byte = *(*p)++;
+        value |= (byte & 0x7f) << shift;
+      }
+      return value;
+    }
+
     uint32_t arity_ = 0;
     size_t rows_ = 0;
-    std::vector<TermId> data_;
+    std::vector<uint8_t> bytes_;
   };
 
   explicit AnswerCache(AnswerCacheOptions options = {});
@@ -168,11 +206,11 @@ class AnswerCache {
     Stats stats GUARDED_BY(mutex);
   };
 
-  /// Shard selection uses the upper half of the hash so it stays
-  /// uncorrelated with the index's bucket index (which consumes the low
-  /// bits) while still addressing every shard for any sane shard count.
-  /// The shift is half the operand width, so it is well-defined (and
-  /// non-degenerate) even where size_t is 32 bits.
+  /// HashOf is fully mixed, so every bit depends on the whole key. Shard
+  /// selection uses the upper half so it stays uncorrelated with the
+  /// index's bucket index (which consumes the low bits). The shift is half
+  /// the operand width, so it is well-defined (and non-degenerate) even
+  /// where size_t is 32 bits.
   Shard& ShardFor(size_t hash) const {
     constexpr int kHalf = std::numeric_limits<size_t>::digits / 2;
     return shards_[(hash >> kHalf) & shard_mask_];

@@ -187,22 +187,14 @@ std::function<bool(std::span<const TermId>)> MakeAnswerHook(
 
 std::vector<std::vector<TermId>> AnswerCollector::TakeSorted() {
   // std::set of vectors iterates in lexicographic order — exactly the
-  // sorted/deduplicated order ExtractAnswers produces after the fact.
+  // sorted/deduplicated order AnswerProjector::ProjectAll produces after
+  // the fact.
   std::vector<std::vector<TermId>> out;
   out.reserve(seen_.size());
   for (auto it = seen_.begin(); it != seen_.end();) {
     out.push_back(std::move(seen_.extract(it++).value()));
   }
   return out;
-}
-
-std::vector<std::vector<TermId>> ExtractAnswers(
-    const Universe& u, const RewrittenProgram& rewritten, const Query& query,
-    const EvalResult& eval) {
-  auto it = eval.idb.find(rewritten.answer_pred);
-  if (it == eval.idb.end()) return {};
-  return AnswerProjector::ForRewritten(u, rewritten, query)
-      .ProjectAll(it->second);
 }
 
 std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,

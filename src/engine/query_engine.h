@@ -167,14 +167,6 @@ class QueryEngine {
   EngineOptions options_;
 };
 
-/// Selects/projects the answers to `query` out of an evaluation of
-/// `rewritten` (rows of the answer predicate whose index fields are zero and
-/// whose surviving bound columns match the query constants, projected onto
-/// the free positions).
-std::vector<std::vector<TermId>> ExtractAnswers(
-    const Universe& u, const RewrittenProgram& rewritten, const Query& query,
-    const EvalResult& eval);
-
 /// Answers from a direct (non-rewritten) evaluation: selects rows of the
 /// query predicate matching the bound constants (and agreeing wherever the
 /// query repeats a variable) and projects the free positions (sorted,
@@ -183,10 +175,10 @@ std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
                                                       const Query& query,
                                                       const Relation* rel);
 
-/// The row filter + projection behind ExtractAnswers, reusable one row at a
-/// time so answer sinks can stream during evaluation instead of scanning
-/// after it: decides whether one stored tuple belongs to `query`'s instance
-/// and projects it onto the query's free positions.
+/// The row filter + projection behind every answer extraction, reusable one
+/// row at a time so answer sinks can stream during evaluation instead of
+/// scanning after it: decides whether one stored tuple belongs to `query`'s
+/// instance and projects it onto the query's free positions.
 class AnswerProjector {
  public:
   /// Rows of `rewritten.answer_pred` (index fields must be zero, surviving
@@ -243,7 +235,7 @@ class AnswerCollector {
   size_t size() const { return seen_.size(); }
 
   /// The collected answers; std::set iteration order is already the sorted
-  /// order ExtractAnswers produces.
+  /// order AnswerProjector::ProjectAll produces.
   std::vector<std::vector<TermId>> TakeSorted();
 
  private:

@@ -348,20 +348,17 @@ void QueryService::ServeHit(CachedForm* cached,
   if (limit_hit) serve = static_cast<size_t>(limits.row_limit);
   bool sink_stopped = false;
   if (sink) {
-    std::vector<TermId> row;  // reused: the sink sees one tuple at a time
-    for (size_t i = 0; i < serve; ++i) {
-      row.assign((*tuples)[i].begin(), (*tuples)[i].end());
-      if (!sink(row)) {
-        serve = i + 1;
-        sink_stopped = true;
-        break;
-      }
-    }
+    // The sink sees one decoded tuple at a time.
+    serve = tuples->Decode(serve, [&](const std::vector<TermId>& row) {
+      sink_stopped = !sink(row);
+      return !sink_stopped;
+    });
   } else {
     answer.tuples.reserve(serve);
-    for (size_t i = 0; i < serve; ++i) {
-      answer.tuples.emplace_back((*tuples)[i].begin(), (*tuples)[i].end());
-    }
+    tuples->Decode(serve, [&](const std::vector<TermId>& row) {
+      answer.tuples.push_back(row);
+      return true;
+    });
   }
   answer.outcome = (limit_hit || sink_stopped) ? AnswerStatus::kTruncated
                                                : AnswerStatus::kOk;

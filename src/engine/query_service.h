@@ -45,7 +45,7 @@ struct QueryServiceOptions {
   /// answers keyed by form, seed, and database version). 0 disables
   /// memoization entirely. Warm hits are served inline on the calling
   /// thread — no worker, no admission slot.
-  size_t cache_bytes = size_t{64} << 20;
+  size_t cache_bytes = AnswerCacheOptions{}.max_bytes;
   /// Defaults for requests that don't override strategy/sip; `eval` and
   /// `guard_mode` always come from here.
   EngineOptions engine;
@@ -510,8 +510,9 @@ class QueryService {
                       const AnswerSink& sink, const Completion& done);
 
   /// Completes a request from a cached tuple set: applies the row limit,
-  /// feeds the sink (streaming) or materializes `tuples` (unary), and
-  /// updates the per-form and service counters.
+  /// decodes `tuples` front to back into the sink (streaming) or into the
+  /// answer's tuples (unary), and updates the per-form and service
+  /// counters.
   void ServeHit(CachedForm* cached,
                 std::shared_ptr<const AnswerCache::Tuples> tuples,
                 const QueryLimits& limits, const AnswerSink& sink,

@@ -1,14 +1,19 @@
 // AnswerCache unit tests: exact get/put semantics, version-keyed
-// invalidation, byte-budgeted LRU eviction, disabled mode, and the
-// concurrency hammer the issue calls for — 8 threads mixing hits, misses,
-// fills, and version advances against one cache. Run under TSan/ASan in CI.
+// invalidation, byte-budgeted LRU eviction, shard routing, the packed
+// payload's encode/decode round trip, disabled mode, and a concurrency
+// hammer — 8 threads mixing hits, misses, fills, and version advances
+// against one cache. Run under TSan/ASan in CI.
 
 #include "cache/answer_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -22,6 +27,18 @@ std::shared_ptr<const Tuples> MakeTuples(
   std::vector<std::vector<TermId>> tuples;
   for (const auto& row : rows) tuples.emplace_back(row);
   return std::make_shared<const Tuples>(tuples);
+}
+
+/// Every tuple of `tuples`, decoded front to back.
+std::vector<std::vector<TermId>> Decoded(const Tuples& tuples) {
+  std::vector<std::vector<TermId>> rows;
+  const size_t visited =
+      tuples.Decode(tuples.size(), [&](const std::vector<TermId>& row) {
+        rows.push_back(row);
+        return true;
+      });
+  EXPECT_EQ(visited, tuples.size());
+  return rows;
 }
 
 /// A payload of `rows` two-column tuples, for byte-budget tests.
@@ -57,7 +74,7 @@ TEST(AnswerCacheTest, ExactKeyGetPutRoundTrip) {
   auto hit = cache.Get(kFormA, seed, 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 2u);
-  EXPECT_EQ((*hit)[0][0], 8u);
+  EXPECT_EQ(Decoded(*hit), (std::vector<std::vector<TermId>>{{8}, {9}}));
 
   // Every component of the key discriminates.
   EXPECT_EQ(cache.Get(kFormB, seed, 1), nullptr);      // other form
@@ -94,7 +111,7 @@ TEST(AnswerCacheTest, FirstWriterWinsOnDuplicatePut) {
   cache.Put(kFormA, seed, 1, MakeTuples({{2}}));  // concurrent-miss fill race
   auto hit = cache.Get(kFormA, seed, 1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ((*hit)[0][0], 1u);
+  EXPECT_EQ(Decoded(*hit), (std::vector<std::vector<TermId>>{{1}}));
   EXPECT_EQ(cache.stats().inserts, 1u);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
@@ -142,14 +159,15 @@ TEST(AnswerCacheTest, PayloadOutlivesEviction) {
   cache.Put(kFormA, s2, 1, MakeBulk(50, 2));  // evicts s1
   EXPECT_EQ(cache.Get(kFormA, s1, 1), nullptr);
   // The shared_ptr returned before the eviction still reads valid data.
-  EXPECT_EQ(pinned->size(), 50u);
-  EXPECT_EQ((*pinned)[0][0], 1u);
+  EXPECT_EQ(Decoded(*pinned), Decoded(*MakeBulk(50, 1)));
 }
 
 TEST(AnswerCacheTest, BytesAreRealAndEvictionFreesTheVictimsFootprint) {
-  // A row costs exactly its ids: the flat array is the whole payload.
+  // A row costs exactly its encoded ids: the packed array is the whole
+  // payload. A bulk row (value, i) steps by (0, +1) from the row before,
+  // so each id's zigzag varint is one byte.
   EXPECT_EQ(Footprint({1}, MakeBulk(100, 1)) - Footprint({1}, MakeBulk(50, 1)),
-            50 * 2 * sizeof(TermId));
+            size_t{50 * 2});
 
   const std::vector<TermId> s1 = {1}, s2 = {2}, s3 = {3}, s4 = {4};
   const auto t1 = MakeBulk(10, 1), t2 = MakeBulk(50, 2), t3 = MakeBulk(20, 3),
@@ -190,7 +208,108 @@ TEST(AnswerCacheTest, ZeroRowAndZeroArityAnswersRoundTrip) {
   ASSERT_NE(holds, nullptr);
   EXPECT_EQ(holds->size(), 1u);
   EXPECT_EQ(holds->arity(), 0u);
-  EXPECT_TRUE((*holds)[0].empty());
+  EXPECT_EQ(Decoded(*holds), (std::vector<std::vector<TermId>>{{}}));
+}
+
+TEST(AnswerCacheTest, OneFormsEntriesAtOneVersionFillEveryShard) {
+  // The serving pattern: one form, one version, many seeds. Each of the 16
+  // shards' shares fits 64 of these entries, and 512 of them fill half the
+  // budget. Routed over every shard, none is evicted; crowded into a few
+  // shards, most would be.
+  constexpr size_t kShards = 16;
+  constexpr TermId kSeeds = 512;
+  const size_t one = Footprint({kSeeds}, MakeTuples({{kSeeds}}));
+  AnswerCacheOptions options;
+  options.shards = kShards;
+  options.max_bytes = kShards * 64 * one;
+  AnswerCache cache(options);
+
+  for (TermId s = 0; s < kSeeds; ++s) {
+    cache.Put(kFormA, {s}, /*version=*/7, MakeTuples({{s}}));
+  }
+  AnswerCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, kSeeds);
+  for (TermId s = 0; s < kSeeds; ++s) {
+    auto hit = cache.Get(kFormA, std::vector<TermId>{s}, 7);
+    ASSERT_NE(hit, nullptr) << "seed " << s;
+    EXPECT_EQ(Decoded(*hit), (std::vector<std::vector<TermId>>{{s}}));
+  }
+}
+
+TEST(AnswerCacheTest, PackedTuplesRoundTripEveryArityAndId) {
+  // Ids at the edges of the 32-bit difference: 0, 1, 2^31 and
+  // UINT32_MAX - 1, beside small and random ids. Sorted rows (the order
+  // answers arrive in) have later columns that fall from one row to the
+  // next; unsorted rows make every column jump either way.
+  constexpr TermId kEdges[] = {0, 1, TermId{1} << 31,
+                               std::numeric_limits<TermId>::max() - 1};
+  std::mt19937 rng(20260419);
+  auto id = [&] {
+    switch (rng() % 3) {
+      case 0: return kEdges[rng() % 4];
+      case 1: return static_cast<TermId>(rng() % 300);
+      default: return static_cast<TermId>(rng() % 0xFFFFFFFFu);
+    }
+  };
+  for (uint32_t arity = 0; arity <= 4; ++arity) {
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{2}, size_t{97}}) {
+      for (bool sorted : {false, true}) {
+        std::vector<std::vector<TermId>> tuples(rows,
+                                                std::vector<TermId>(arity));
+        for (std::vector<TermId>& row : tuples) {
+          for (TermId& v : row) v = id();
+        }
+        if (sorted) std::sort(tuples.begin(), tuples.end());
+        const Tuples packed(tuples);
+        SCOPED_TRACE(testing::Message() << "arity " << arity << ", " << rows
+                                        << " rows, sorted " << sorted);
+        EXPECT_EQ(packed.size(), rows);
+        EXPECT_EQ(packed.arity(), rows == 0 ? 0 : arity);
+        EXPECT_EQ(Decoded(packed), tuples);
+        // A varint takes 1 to 5 bytes.
+        EXPECT_LE(packed.heap_bytes(), rows * arity * 5);
+        EXPECT_GE(packed.heap_bytes(), rows * arity);
+      }
+    }
+  }
+
+  // Every edge id after every other, in each column, with the second
+  // column falling where the first rises.
+  std::vector<std::vector<TermId>> edges;
+  for (TermId a : kEdges) {
+    for (TermId b : kEdges) edges.push_back({a, b, b, a});
+  }
+  EXPECT_EQ(Decoded(Tuples(edges)), edges);
+}
+
+TEST(AnswerCacheTest, DecodeStopsAtTheLimitOrWhenTheVisitorStops) {
+  const std::vector<std::vector<TermId>> tuples = {
+      {5, 4000000000u}, {6, 70000}, {900000, 3}, {900001, 4000000001u}};
+  const Tuples packed(tuples);
+
+  std::vector<std::vector<TermId>> seen;
+  auto keep = [&](const std::vector<TermId>& row) {
+    seen.push_back(row);
+    return true;
+  };
+  EXPECT_EQ(packed.Decode(2, keep), 2u);
+  EXPECT_EQ(seen, (std::vector<std::vector<TermId>>{tuples[0], tuples[1]}));
+  seen.clear();
+  EXPECT_EQ(packed.Decode(99, keep), 4u);  // a limit past the end is the end
+  EXPECT_EQ(seen, tuples);
+
+  // A visitor that stops on the third tuple: three visited, the stopping
+  // one counted.
+  seen.clear();
+  EXPECT_EQ(packed.Decode(packed.size(),
+                          [&](const std::vector<TermId>& row) {
+                            seen.push_back(row);
+                            return seen.size() < 3;
+                          }),
+            3u);
+  EXPECT_EQ(seen, (std::vector<std::vector<TermId>>{tuples[0], tuples[1],
+                                                    tuples[2]}));
 }
 
 TEST(AnswerCacheTest, OversizedAnswersAreNotCached) {
@@ -256,9 +375,9 @@ TEST(AnswerCacheTest, EightThreadMixedHitMissInvalidateHammer) {
         if (roll < 70) {  // lookup, fill on miss (the serving pattern)
           auto hit = cache.Get(tag, seed, version);
           if (hit != nullptr) {
-            if (hit->size() != 1 || (*hit)[0].size() != 2 ||
-                (*hit)[0][0] != seed[0] ||
-                (*hit)[0][1] != static_cast<TermId>(version)) {
+            const std::vector<std::vector<TermId>> expected = {
+                {seed[0], static_cast<TermId>(version)}};
+            if (Decoded(*hit) != expected) {
               wrong_payloads.fetch_add(1, std::memory_order_relaxed);
             }
           } else {

@@ -156,10 +156,11 @@ TEST(EvalAllocTest, CompiledPathAllocatesNoMoreThanInterpreter) {
 }
 
 // --- Relation copy-on-write clones -----------------------------------------
-// A clone copies rows and the dedup table as two flat arrays and carries
-// each built per-mask index, itself two flat arrays. These pin that down:
-// no per-row (or per-key) allocation in a clone, and no from-scratch index
-// rebuild after an insert into one.
+// Rows, the dedup table and each built per-mask index's entries and arena
+// are chunked arrays: a clone copies each one's block-pointer vector and
+// shares the blocks. These pin that down: no per-row (or per-key)
+// allocation in a clone, and no from-scratch index rebuild after an insert
+// into one.
 
 /// A relation of `rows` tuples (k, i) over `keys` distinct first columns.
 std::unique_ptr<Relation> MakeRelation(uint32_t rows, uint32_t keys) {
@@ -190,7 +191,8 @@ TEST(EvalAllocTest, RelationCloneWithoutIndexAllocatesConstant) {
   [[maybe_unused]] const uint64_t small_allocs = CloneAllocations(*small);
   [[maybe_unused]] const uint64_t large_allocs = CloneAllocations(*large);
 #if MAGIC_ALLOC_TEST_STRICT
-  // The row array and the dedup table: one allocation each.
+  // The row array's and the dedup table's block-pointer vectors: one
+  // allocation each.
   EXPECT_EQ(small_allocs, large_allocs);
   EXPECT_LE(large_allocs, 2u);
 #endif

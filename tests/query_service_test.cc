@@ -1110,6 +1110,120 @@ TEST(QueryServiceTest, StreamServesWarmHitsThroughTheCursor) {
   EXPECT_EQ(streamed, fill.tuples);
 }
 
+/// tri(s, Y, Z) over 40 (Y, Z) pairs, half of them reached through
+/// link(s, m). The pairs' constants come from 70000 interned ones, so their
+/// ids take up to three varint bytes, and Z falls between many sorted rows.
+/// `*expected` gets the sorted answer.
+Workload PairsWithLargeIds(std::vector<std::vector<TermId>>* expected) {
+  auto parsed = ParseUnit(
+      "tri(X, Y, Z) :- e(X, Y, Z).\n"
+      "tri(X, Y, Z) :- link(X, W), tri(W, Y, Z).\n"
+      "?- tri(s, Y, Z).");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Workload w{parsed->program.universe(), parsed->program,
+             Database(parsed->program.universe()), *parsed->query,
+             "pairs_with_large_ids"};
+  Universe& u = *w.universe;
+  std::vector<TermId> k;
+  for (int i = 0; i < 70000; ++i) {
+    k.push_back(u.Constant("k" + std::to_string(i)));
+  }
+  const PredId e = *u.predicates().Find(*u.symbols().Find("e"), 3);
+  const PredId link = *u.predicates().Find(*u.symbols().Find("link"), 2);
+  const TermId s = u.Constant("s"), m = u.Constant("m");
+  EXPECT_TRUE(w.db.AddFact(link, {s, m}).ok());
+  expected->clear();
+  for (int i = 0; i < 40; ++i) {
+    const TermId y = k[(i * 7919) % 70000];
+    const TermId z = k[69999 - (i * 5003) % 70000];
+    EXPECT_TRUE(w.db.AddFact(e, {i < 20 ? s : m, y, z}).ok());
+    expected->push_back({y, z});
+  }
+  std::sort(expected->begin(), expected->end());
+  return w;
+}
+
+TEST(QueryServiceTest, ArityTwoHitWithLargeIdsMatchesTheEvaluatedAnswer) {
+  std::vector<std::vector<TermId>> expected;
+  Workload w = PairsWithLargeIds(&expected);
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  QueryService service(w.program, w.db, options);
+  QueryRequest exemplar;
+  exemplar.query = w.query;
+  auto handle = service.Prepare(exemplar);
+  ASSERT_TRUE(handle.ok());
+  const std::vector<TermId> seed = {w.query.goal.args[0]};
+
+  QueryAnswer cold = service.Answer(*handle, seed);
+  ASSERT_TRUE(cold.status.ok());
+  EXPECT_FALSE(cold.from_cache);
+  ASSERT_EQ(cold.tuples, expected);
+  QueryAnswer warm = service.Answer(*handle, seed);
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(warm.outcome, AnswerStatus::kOk);
+  EXPECT_EQ(warm.tuples, expected);
+
+  // Row-limit truncation: the hit serves the sorted answer's first rows
+  // with the outcome and row count an evaluated run reports.
+  constexpr size_t kLimit = 7;
+  const std::vector<std::vector<TermId>> head(expected.begin(),
+                                              expected.begin() + kLimit);
+  QueryLimits limits;
+  limits.row_limit = kLimit;
+  QueryAnswer limited = service.Answer(*handle, seed, limits);
+  EXPECT_TRUE(limited.from_cache);
+  EXPECT_EQ(limited.outcome, AnswerStatus::kTruncated);
+  EXPECT_EQ(limited.tuples, head);
+  {
+    QueryServiceOptions uncached_options = options;
+    uncached_options.cache_bytes = 0;
+    QueryService uncached(w.program, w.db, uncached_options);
+    auto uncached_handle = uncached.Prepare(exemplar);
+    ASSERT_TRUE(uncached_handle.ok());
+    QueryAnswer evaluated = uncached.Answer(*uncached_handle, seed, limits);
+    EXPECT_FALSE(evaluated.from_cache);
+    EXPECT_EQ(evaluated.outcome, AnswerStatus::kTruncated);
+    ASSERT_EQ(evaluated.tuples.size(), kLimit);
+    for (const std::vector<TermId>& row : evaluated.tuples) {
+      EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), row));
+    }
+  }
+
+  // STREAM: the hit feeds the cursor the whole sorted answer, and a
+  // row-limited stream its first rows.
+  AnswerCursor cursor = service.Stream(*handle, seed);
+  EXPECT_EQ(Drain(cursor), expected);
+  EXPECT_TRUE(cursor.Finish().from_cache);
+  EXPECT_EQ(cursor.Finish().outcome, AnswerStatus::kOk);
+  AnswerCursor limited_cursor = service.Stream(*handle, seed, limits);
+  EXPECT_EQ(Drain(limited_cursor), head);
+  EXPECT_TRUE(limited_cursor.Finish().from_cache);
+  EXPECT_EQ(limited_cursor.Finish().outcome, AnswerStatus::kTruncated);
+
+  // A sink that stops early. The evaluated form stops after the sink's
+  // kLimit-th row and reports kTruncated; the payload the service caches
+  // for this answer stops its decode at the same row, which is what a hit
+  // serves such a sink.
+  auto form = PreparedQueryForm::Prepare(w.program, w.query);
+  ASSERT_TRUE(form.ok());
+  std::vector<std::vector<TermId>> sunk;
+  auto stop_at_limit = [&](const std::vector<TermId>& row) {
+    sunk.push_back(row);
+    return sunk.size() < kLimit;
+  };
+  QueryAnswer stopped = form->Answer(seed, w.db, QueryLimits{}, stop_at_limit);
+  EXPECT_EQ(stopped.outcome, AnswerStatus::kTruncated);
+  ASSERT_EQ(sunk.size(), kLimit);
+  for (const std::vector<TermId>& row : sunk) {
+    EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), row));
+  }
+  sunk.clear();
+  const AnswerCache::Tuples cached(cold.tuples);
+  EXPECT_EQ(cached.Decode(cached.size(), stop_at_limit), kLimit);
+  EXPECT_EQ(sunk, head);
+}
+
 TEST(QueryServiceTest, MixedStrategyHammerAcrossEightThreads) {
   // The issue's parallel non-rewriting bar: magic + seminaive + topdown
   // handles hammered on one shared service from 8 client threads, all

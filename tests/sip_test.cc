@@ -137,6 +137,17 @@ TEST(SipOrderTest, NonParticipantsComeLast) {
 
 // Lemma 9.3: the facts computed under a full sip are contained in the facts
 // computed under any sip it contains (partial sips compute more).
+/// The answers to `query` in an evaluation of `rewritten`: its answer
+/// predicate's rows, filtered and projected by AnswerProjector.
+std::vector<std::vector<TermId>> RewrittenAnswers(
+    const Universe& u, const RewrittenProgram& rewritten, const Query& query,
+    const EvalResult& eval) {
+  auto it = eval.idb.find(rewritten.answer_pred);
+  if (it == eval.idb.end()) return {};
+  return AnswerProjector::ForRewritten(u, rewritten, query)
+      .ProjectAll(it->second);
+}
+
 TEST(PartialSipTest, FullSipComputesSubsetOfPartialSipFacts) {
   auto parsed = ParseUnit(R"(
     sg(X,Y) :- flat(X,Y).
@@ -161,7 +172,7 @@ TEST(PartialSipTest, FullSipComputesSubsetOfPartialSipFacts) {
         gms->program, db, MakeSeeds(*gms, adorned->query, u));
     EXPECT_TRUE(result.status.ok());
     std::vector<std::vector<TermId>> answers =
-        ExtractAnswers(u, *gms, *parsed->query, result);
+        RewrittenAnswers(u, *gms, *parsed->query, result);
     return std::make_pair(result.TotalFacts(), answers);
   };
 

@@ -40,7 +40,7 @@
 //   --max-facts N            evaluation budget (default 10M)
 //   --limit N                stop each query after N answer rows
 //   --deadline-ms N          per-query evaluation deadline
-//   --cache-bytes N          AnswerCache byte budget (default 64 MiB)
+//   --cache-bytes N          AnswerCache byte budget (default 8 MiB)
 //   --no-cache               disable cross-query answer memoization
 //   --host H / --port P      serve: bind address (default 127.0.0.1:4617;
 //                            port 0 binds ephemeral and prints the choice)

@@ -9,7 +9,7 @@
 //                        `magicdb-serve listening on HOST:PORT`
 //   --threads N          worker threads (default: hardware)
 //   --max-connections N  socket-level admission bound (default 64)
-//   --cache-bytes N      AnswerCache byte budget (default 64 MiB)
+//   --cache-bytes N      AnswerCache byte budget (default 8 MiB)
 //   --no-cache           disable cross-query answer memoization
 //   --strategy NAME      default evaluation strategy (default gsms)
 //   --sip NAME           default sip strategy
