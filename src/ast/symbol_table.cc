@@ -1,5 +1,7 @@
 #include "ast/symbol_table.h"
 
+#include <functional>
+
 #include "util/check.h"
 
 namespace magic {
@@ -16,6 +18,10 @@ std::optional<SymbolId> SymbolTable::FindInBase(std::string_view name) const {
   return found;
 }
 
+uint64_t SymbolTable::HashOf(std::string_view name) {
+  return std::hash<std::string_view>{}(name);
+}
+
 SymbolId SymbolTable::Intern(std::string_view name) {
   // Overlay fast path: a name the base already had at overlay creation
   // keeps the base's id. Lock order is strictly overlay -> base (never
@@ -24,26 +30,32 @@ SymbolId SymbolTable::Intern(std::string_view name) {
   if (base_ != nullptr) {
     if (std::optional<SymbolId> found = FindInBase(name)) return *found;
   }
+  const uint64_t hash = HashOf(name);
   WriterMutexLock lock(mutex_);
-  if (std::optional<SymbolId> found = FindLocked(name)) return *found;
-  SymbolId id = offset_ + static_cast<SymbolId>(names_.size());
+  if (std::optional<SymbolId> found = FindLocked(name, hash)) return *found;
   names_.emplace_back(name);
-  index_.emplace(names_.back(), id);
-  return id;
+  const std::deque<std::string>& names = names_;
+  return offset_ + index_.Add(hash, [&names](uint32_t local) {
+           return HashOf(names[local]);
+         });
 }
 
-std::optional<SymbolId> SymbolTable::FindLocked(std::string_view name) const {
-  auto it = index_.find(std::string(name));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+std::optional<SymbolId> SymbolTable::FindLocked(std::string_view name,
+                                                uint64_t hash) const {
+  const std::deque<std::string>& names = names_;
+  std::optional<uint32_t> local = index_.Find(
+      hash, [&](uint32_t stored) { return names[stored] == name; });
+  if (!local.has_value()) return std::nullopt;
+  return offset_ + *local;
 }
 
 std::optional<SymbolId> SymbolTable::Find(std::string_view name) const {
   if (base_ != nullptr) {
     if (std::optional<SymbolId> found = FindInBase(name)) return found;
   }
+  const uint64_t hash = HashOf(name);
   ReaderMutexLock lock(mutex_);
-  return FindLocked(name);
+  return FindLocked(name, hash);
 }
 
 const std::string& SymbolTable::Name(SymbolId id) const {

@@ -6,9 +6,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "util/annotated_mutex.h"
+#include "util/id_table.h"
 
 namespace magic {
 
@@ -42,6 +42,11 @@ using SymbolId = uint32_t;
 /// thing runtime interning must never do is re-purpose an existing id —
 /// append-only growth guarantees that; see Universe for the predicate-
 /// freeze rules layered on top.
+///
+/// Memory: a name is stored once, as a std::string in `names_` (32 bytes,
+/// plus a heap block past 15 characters); the lookup table holds 5.3 to
+/// 10.7 bytes of 4-byte slots per name and compares through `names_`
+/// (IdTable), so a lookup allocates nothing.
 class SymbolTable {
  public:
   SymbolTable() = default;
@@ -69,7 +74,10 @@ class SymbolTable {
   size_t size() const;
 
  private:
-  std::optional<SymbolId> FindLocked(std::string_view name) const
+  static uint64_t HashOf(std::string_view name);
+  /// This layer's id for `name` (whose HashOf is `hash`), if interned here.
+  std::optional<SymbolId> FindLocked(std::string_view name,
+                                     uint64_t hash) const
       REQUIRES_SHARED(mutex_);
   /// Base lookup filtered to the overlay's id horizon: a name the base
   /// interned *after* this overlay captured offset_ gets an id >= offset_,
@@ -89,7 +97,9 @@ class SymbolTable {
   /// Deque, not vector: growth never moves existing strings, so Name()'s
   /// returned references survive concurrent interning.
   std::deque<std::string> names_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, SymbolId> index_ GUARDED_BY(mutex_);
+  /// Lookup table of this layer's names: stores `id - offset_`, keyed by
+  /// HashOf(names_[id - offset_]).
+  IdTable index_ GUARDED_BY(mutex_);
 };
 
 }  // namespace magic

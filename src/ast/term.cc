@@ -108,17 +108,15 @@ bool TermArena::Equal(const TermData& a, const TermData& b) {
 
 TermId TermArena::Intern(TermData data) {
   MutexLock lock(mutex_);
-  uint64_t h = HashOf(data);
-  auto& bucket = dedup_[h];
-  const ChunkDir* dir = dir_.load(std::memory_order_relaxed);
-  for (TermId candidate : bucket) {
-    const TermData& existing =
-        dir->chunks[candidate >> kChunkShift][candidate & kChunkMask];
-    if (Equal(existing, data)) return candidate;
+  const uint64_t h = HashOf(data);
+  // Every stored id is below size(), so the probes read it through Get.
+  if (std::optional<TermId> found = dedup_.Find(
+          h, [&](TermId id) { return Equal(Get(id), data); })) {
+    return *found;
   }
-  size_t n = size_.load(std::memory_order_relaxed);
-  TermId id = static_cast<TermId>(n);
-  size_t chunk = n >> kChunkShift;
+  const size_t n = size_.load(std::memory_order_relaxed);
+  const size_t chunk = n >> kChunkShift;
+  const ChunkDir* dir = dir_.load(std::memory_order_relaxed);
   if (chunk == chunk_owner_.size()) {
     chunk_owner_.push_back(
         std::make_unique<TermData[]>(size_t{1} << kChunkShift));
@@ -130,8 +128,10 @@ TermId TermArena::Intern(TermData data) {
     dir_owner_.push_back(std::move(grown));
   }
   dir->chunks[chunk][n & kChunkMask] = std::move(data);
+  const TermId id =
+      dedup_.Add(h, [this](TermId stored) { return HashOf(Get(stored)); });
+  MAGIC_CHECK(id == n);
   size_.store(n + 1, std::memory_order_release);
-  bucket.push_back(id);
   return id;
 }
 

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/symbol_table.h"
 #include "util/annotated_mutex.h"
+#include "util/id_table.h"
 
 namespace magic {
 
@@ -63,6 +63,12 @@ struct TermData {
 /// never moved or freed, and a new term becomes visible to readers only via
 /// a release-store of the arena size after its slot is fully constructed, so
 /// an id obtained from any source is always safe to dereference.
+///
+/// Memory: a term costs its 56-byte TermData (plus its children's heap
+/// array, for compounds and affine terms) and 5.3 to 10.7 bytes of dedup
+/// table (4-byte slots, 3/8 to 3/4 full), which holds ids only and
+/// compares and re-hashes through the arena (IdTable): no per-term node or
+/// heap block.
 class TermArena {
  public:
   TermArena() = default;
@@ -115,7 +121,8 @@ class TermArena {
   Mutex mutex_{lock_rank::kTermArena};
   std::vector<std::unique_ptr<TermData[]>> chunk_owner_ GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<ChunkDir>> dir_owner_ GUARDED_BY(mutex_);
-  std::unordered_map<uint64_t, std::vector<TermId>> dedup_ GUARDED_BY(mutex_);
+  /// Hash-consing table: every term's id, keyed by HashOf(Get(id)).
+  IdTable dedup_ GUARDED_BY(mutex_);
 };
 
 }  // namespace magic

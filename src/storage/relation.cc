@@ -229,24 +229,28 @@ uint64_t Relation::KeyHashForRow(uint64_t mask, size_t row) const {
   return h;
 }
 
-const Relation::Index::Entry* Relation::Index::Find(uint64_t hash) const {
-  if (entries.empty()) return nullptr;
+size_t Relation::Index::SlotOf(uint64_t hash) const {
   const size_t mask = entries.size() - 1;
-  for (size_t slot = SlotFor(hash, shift);; slot = (slot + 1) & mask) {
-    const Entry& e = entries[slot];
-    if (e.capacity == 0) return nullptr;
-    if (e.hash == hash) return &e;
-  }
-}
-
-void Relation::Index::Append(uint64_t hash, uint32_t row) {
-  if ((used + 1) * 4 > entries.size() * 3) Grow();
-  const size_t mask = entries.size() - 1;
-  size_t slot = SlotFor(hash, shift);
+  size_t slot = HashSlot(hash, shift);
   while (entries[slot].capacity != 0 && entries[slot].hash != hash) {
     slot = (slot + 1) & mask;
   }
-  Entry& e = *entries.MutableAt(slot);
+  return slot;
+}
+
+const Relation::Index::Entry* Relation::Index::Find(uint64_t hash) const {
+  if (entries.empty()) return nullptr;
+  const Entry& e = entries[SlotOf(hash)];
+  return e.capacity == 0 ? nullptr : &e;
+}
+
+Relation::Index::Entry* Relation::Index::Claim(uint64_t hash) {
+  if ((used + 1) * 4 > entries.size() * 3) Grow();
+  return entries.MutableAt(SlotOf(hash));
+}
+
+void Relation::Index::Append(uint64_t hash, uint32_t row) {
+  Entry& e = *Claim(hash);
   if (e.capacity == 0) {
     e = Entry{hash, arena.AppendRun(1), 0, 1};
     ++used;
@@ -282,7 +286,7 @@ void Relation::Index::Grow() {
   for (size_t i = 0; i < old.size(); ++i) {
     const Entry& e = old[i];
     if (e.capacity == 0) continue;
-    size_t slot = SlotFor(e.hash, shift);
+    size_t slot = HashSlot(e.hash, shift);
     while (entries[slot].capacity != 0) slot = (slot + 1) & mask;
     *entries.MutableAt(slot) = e;
   }
@@ -297,10 +301,42 @@ void Relation::ExtendIndex(uint64_t mask, Index* index) const {
     index->Reset();
     built = 0;
   }
-  for (size_t row = built; row < rows; ++row) {
-    index->Append(KeyHashForRow(mask, row), static_cast<uint32_t>(row));
+  if (built == 0) {
+    BuildIndex(mask, index);
+  } else {
+    for (size_t row = built; row < rows; ++row) {
+      index->Append(KeyHashForRow(mask, row), static_cast<uint32_t>(row));
+    }
   }
   index->rows_built.store(rows, std::memory_order_release);
+}
+
+void Relation::BuildIndex(uint64_t mask, Index* index) const {
+  const size_t rows = size();
+  // Pass 1: each key's row count, held in its entry's capacity.
+  for (size_t row = 0; row < rows; ++row) {
+    const uint64_t hash = KeyHashForRow(mask, row);
+    Index::Entry& e = *index->Claim(hash);
+    if (e.capacity == 0) {
+      e.hash = hash;
+      ++index->used;
+    }
+    ++e.capacity;
+  }
+  // Each list's run, at the capacity Append would have doubled it to.
+  for (size_t slot = 0; slot < index->entries.size(); ++slot) {
+    if (index->entries[slot].capacity == 0) continue;
+    Index::Entry& e = *index->entries.MutableAt(slot);
+    e.capacity = e.capacity > (uint32_t{1} << 31) ? UINT32_MAX
+                                                  : std::bit_ceil(e.capacity);
+    e.begin = index->arena.AppendRun(e.capacity);
+  }
+  // Pass 2: the rows, in ascending order, so every list ascends.
+  for (size_t row = 0; row < rows; ++row) {
+    Index::Entry& e =
+        *index->entries.MutableAt(index->SlotOf(KeyHashForRow(mask, row)));
+    index->arena.MutableAt(e.begin)[e.size++] = static_cast<uint32_t>(row);
+  }
 }
 
 const Relation::Index* Relation::EnsureIndex(uint64_t mask) const {

@@ -13,6 +13,7 @@
 #include "storage/chunked_array.h"
 #include "util/annotated_mutex.h"
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace magic {
 
@@ -214,14 +215,18 @@ class Relation {
   /// One per-mask probe index, chunked like the rows: an open-addressing
   /// table of key hashes (linear probing, power-of-two capacity at most
   /// 3/4 full) whose entries locate ascending row lists in one arena. A
-  /// full list moves to the arena's end with twice the room, except that
-  /// the list already at the end grows in place while it stays in its
-  /// chunk; the hole a move leaves is reclaimed by the next rebuild from
-  /// scratch, and holes never outgrow the live lists. Every list is
-  /// contiguous (ChunkedArray::AppendRun: no list straddles a chunk, and
-  /// one longer than a chunk has an oversized block of its own), so a
-  /// cursor walks it through a raw pointer. Copying an index shares its
-  /// chunks, and an index allocates chunks, never one block per key.
+  /// list's capacity is its size rounded up to a power of two. A build
+  /// from scratch (a new mask, or the rebuild a retract forces) places
+  /// each list once at that capacity (BuildIndex), so it leaves no holes.
+  /// Holes come only from extending past the watermark: a full list then
+  /// moves to the arena's end with twice the room, except that the list
+  /// already at the end grows in place while it stays in its chunk; the
+  /// hole a move leaves is reclaimed by the next rebuild from scratch, and
+  /// holes never outgrow the live lists. Every list is contiguous
+  /// (ChunkedArray::AppendRun: no list straddles a chunk, and one longer
+  /// than a chunk has an oversized block of its own), so a cursor walks it
+  /// through a raw pointer. Copying an index shares its chunks, and an
+  /// index allocates chunks, never one block per key.
   struct Index {
     struct Entry {
       uint64_t hash = 0;
@@ -244,8 +249,16 @@ class Relation {
     /// Shares `other`'s chunks; the caller holds `other`'s index mutex.
     Index(const Index& other);
 
+    /// The slot of `hash`'s entry, or of the empty entry ending its probe
+    /// chain (the table is non-empty).
+    size_t SlotOf(uint64_t hash) const;
     /// The entry for `hash`, or null when no row has that key hash.
     const Entry* Find(uint64_t hash) const;
+    /// The entry for `hash`, or the empty one ending its probe chain,
+    /// which the caller fills in (a nonzero capacity) and counts in
+    /// `used`. Doubles the table first when one more entry would pass
+    /// 3/4 full.
+    Entry* Claim(uint64_t hash);
     /// Appends `row`, larger than every row listed so far, to the list of
     /// `hash`.
     void Append(uint64_t hash, uint32_t row);
@@ -266,15 +279,8 @@ class Relation {
 
   uint64_t KeyHashForRow(uint64_t mask, size_t row) const;
 
-  /// First probe slot for `hash` in a table of 2^(64 - shift) slots: the
-  /// high bits of a multiply-shift mix, because HashRange's low bits are
-  /// weak. Shared by the dedup table and the per-mask indices.
-  static size_t SlotFor(uint64_t hash, uint32_t shift) {
-    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift);
-  }
-
   /// Dedup-table helpers (the table is non-empty whenever size() > 0).
-  size_t HomeSlot(uint64_t hash) const { return SlotFor(hash, slot_shift_); }
+  size_t HomeSlot(uint64_t hash) const { return HashSlot(hash, slot_shift_); }
   uint64_t RowHash(size_t row) const;
   /// The slot holding `tuple`, or the empty slot ending its probe chain.
   size_t FindSlot(std::span<const TermId> tuple, uint64_t hash) const;
@@ -285,7 +291,14 @@ class Relation {
   void GrowSlots();
   /// Empties `slot` by backward-shift deletion.
   void EraseSlot(size_t slot);
+  /// Brings `index` up to the current row count: BuildIndex when nothing
+  /// is built (or a retract invalidated it), Index::Append past the
+  /// watermark otherwise.
   void ExtendIndex(uint64_t mask, Index* index) const REQUIRES(index_mutex_);
+  /// Fills the empty `index` with every row in two passes over the rows:
+  /// count each key's rows, place each list once at its final capacity,
+  /// then write the lists in ascending row order.
+  void BuildIndex(uint64_t mask, Index* index) const REQUIRES(index_mutex_);
   /// Returns the index for `mask`, built up to the current row count
   /// (lock-free when already current; mutex-guarded build otherwise).
   const Index* EnsureIndex(uint64_t mask) const;

@@ -22,6 +22,13 @@ uint64_t HashRange(It begin, It end, uint64_t seed = 0xcbf29ce484222325ULL) {
   return seed;
 }
 
+/// First probe slot for `hash` in an open-addressing table of
+/// 2^(64 - shift) slots (shift < 64): the high bits of a multiply-shift
+/// mix, because HashCombine's low bits are weak.
+inline size_t HashSlot(uint64_t hash, uint32_t shift) {
+  return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift);
+}
+
 }  // namespace magic
 
 #endif  // MAGIC_UTIL_HASH_H_

@@ -204,13 +204,18 @@ struct ExtractionCase {
                         Universe&);
 };
 
+/// gtest lists a parameterized test with its printed parameter. Without
+/// this it would print the case's raw bytes: two string pointers and a
+/// function pointer, which move whenever the binary's string literals or
+/// load address do, so the listed (and ctest) names would too.
+void PrintTo(const ExtractionCase& c, std::ostream* os) { *os << c.name; }
+
 /// Loads kAncestorGraph with the case's goal and computes its reference
 /// answers.
-template <typename Case>
-class ExtractionFixture : public ::testing::TestWithParam<Case> {
+class ExtractionFixture : public ::testing::TestWithParam<ExtractionCase> {
  protected:
   void SetUp() override {
-    const ExtractionCase& c = this->GetParam();
+    const ExtractionCase& c = GetParam();
     auto parsed =
         ParseUnit(std::string(kAncestorGraph) + "?- " + c.goal + ".");
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -228,20 +233,8 @@ class ExtractionFixture : public ::testing::TestWithParam<Case> {
   AnswerSet expected_;
 };
 
-using AnswerExtractionTest = ExtractionFixture<ExtractionCase>;
-
-/// An ExtractionCase that gtest prints by its name. gtest lists a
-/// parameterized test with its printed parameter, and prints a plain
-/// ExtractionCase as its raw bytes: two string pointers and a function
-/// pointer, which PIE and ASLR move on every run, so the listed (and ctest)
-/// name would change from one build to the next.
-struct NamedExtractionCase : ExtractionCase {
-  NamedExtractionCase(const ExtractionCase& c) : ExtractionCase(c) {}
-};
-
-void PrintTo(const NamedExtractionCase& c, std::ostream* os) { *os << c.name; }
-
-using HookedExtractionTest = ExtractionFixture<NamedExtractionCase>;
+using AnswerExtractionTest = ExtractionFixture;
+using HookedExtractionTest = ExtractionFixture;
 
 std::vector<std::vector<TermId>> Sorted(const AnswerSet& set) {
   return {set.begin(), set.end()};
@@ -353,17 +346,14 @@ auto ExtractionCases() {
                      }});
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Goals, HookedExtractionTest, ExtractionCases(),
-    [](const ::testing::TestParamInfo<NamedExtractionCase>& info) {
-      return std::string(info.param.name);
-    });
+std::string CaseName(const ::testing::TestParamInfo<ExtractionCase>& info) {
+  return info.param.name;
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Goals, AnswerExtractionTest, ExtractionCases(),
-    [](const ::testing::TestParamInfo<ExtractionCase>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(Goals, HookedExtractionTest, ExtractionCases(),
+                         CaseName);
+INSTANTIATE_TEST_SUITE_P(Goals, AnswerExtractionTest, ExtractionCases(),
+                         CaseName);
 
 }  // namespace
 }  // namespace magic

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -46,6 +47,31 @@ struct RelationTestPeer {
         rel.indices_.at(mask)->Find(HashRange(key.begin(), key.end()));
     return e == nullptr ? std::pair<size_t, uint32_t>{0, 0}
                         : std::pair<size_t, uint32_t>{e->begin, e->capacity};
+  }
+
+  /// One row list of an index: where it sits, and its rows.
+  struct ListView {
+    size_t begin = 0;
+    uint32_t capacity = 0;
+    std::vector<uint32_t> rows;
+  };
+  /// Every row list of `mask`'s index, in table order.
+  static std::vector<ListView> Lists(const Relation& rel, uint64_t mask) {
+    MutexLock lock(rel.index_mutex_);
+    const Relation::Index& index = *rel.indices_.at(mask);
+    std::vector<ListView> lists;
+    for (size_t slot = 0; slot < index.entries.size(); ++slot) {
+      const Relation::Index::Entry& e = index.entries[slot];
+      if (e.capacity == 0) continue;
+      const uint32_t* rows = index.arena.At(e.begin);
+      lists.push_back({e.begin, e.capacity, {rows, rows + e.size}});
+    }
+    return lists;
+  }
+  /// Units `mask`'s index arena has handed out, holes included.
+  static size_t ArenaUnits(const Relation& rel, uint64_t mask) {
+    MutexLock lock(rel.index_mutex_);
+    return rel.indices_.at(mask)->arena.size();
   }
 
   static size_t Capacity(const Relation& rel) { return rel.slots_.size(); }
@@ -890,16 +916,18 @@ TEST(RelationModelTest, BucketLongerThanAnArenaChunk) {
 }
 
 TEST(RelationModelTest, ListStartingAtAnArenaChunksLastUnit) {
-  // With the index built before any row, each new key's one-row list is
-  // appended at the arena's tail: key i's list starts at unit i, so key
-  // chunk - 1's list sits in the first chunk's last unit and cannot grow
-  // in place. Growing it moves it to the next chunk.
+  // With the index built over the first row, every later row is appended
+  // past the watermark, so each new key's one-row list lands at the
+  // arena's tail: key i's list starts at unit i, so key chunk - 1's list
+  // sits in the first chunk's last unit and cannot grow in place. Growing
+  // it moves it to the next chunk.
   const size_t chunk = RelationTestPeer::ArenaChunkUnits();
   const TermId last_key = static_cast<TermId>(chunk - 1);
   Relation rel(2);
+  rel.Insert(Tuple{0, 0});
   std::vector<uint32_t> rows;
-  rel.Probe(0b01, Tuple{0}, 0, 0, &rows);  // builds the empty index
-  for (TermId k = 0; k <= last_key; ++k) rel.Insert(Tuple{k, 0});
+  rel.Probe(0b01, Tuple{0}, 0, rel.size(), &rows);  // watermark 1
+  for (TermId k = 1; k <= last_key; ++k) rel.Insert(Tuple{k, 0});
   rel.RebuildIndexes();
   ASSERT_EQ(RelationTestPeer::List(rel, 0b01, Tuple{last_key}).first,
             chunk - 1);
@@ -928,6 +956,155 @@ TEST(RelationModelTest, ListStartingAtAnArenaChunksLastUnit) {
             std::vector<uint32_t>{last_key});
   EXPECT_EQ(RelationTestPeer::List(rel, 0b01, Tuple{last_key}).first,
             chunk - 1);
+}
+
+/// Checks the layout of `mask`'s built index over `rel`: every list
+/// ascends, lies in one chunk (or starts an oversized block of its own),
+/// and has capacity bit_ceil(size). When `packed`, as a build from scratch
+/// must be, the lists also tile the arena: a unit no list holds is a run's
+/// skip to a fresh chunk or an oversized block's unused tail, so the
+/// arena has no hole a list moved out of.
+void CheckListLayout(const Relation& rel, uint64_t mask, bool packed) {
+  const size_t chunk = RelationTestPeer::ArenaChunkUnits();
+  std::vector<RelationTestPeer::ListView> lists =
+      RelationTestPeer::Lists(rel, mask);
+  size_t listed = 0;
+  for (const RelationTestPeer::ListView& list : lists) {
+    ASSERT_FALSE(list.rows.empty());
+    ASSERT_TRUE(std::is_sorted(list.rows.begin(), list.rows.end()));
+    ASSERT_EQ(std::adjacent_find(list.rows.begin(), list.rows.end()),
+              list.rows.end());
+    ASSERT_LT(list.rows.back(), rel.size());
+    ASSERT_LE(list.rows.size(), list.capacity);
+    if (list.capacity > chunk) {
+      ASSERT_EQ(list.begin % chunk, 0u) << "oversized list off a chunk start";
+    } else {
+      ASSERT_EQ(list.begin / chunk, (list.begin + list.capacity - 1) / chunk)
+          << "list at " << list.begin << " straddles a chunk";
+    }
+    listed += list.rows.size();
+    if (!packed) continue;
+    ASSERT_EQ(list.capacity,
+              std::bit_ceil(static_cast<uint32_t>(list.rows.size())));
+  }
+  ASSERT_EQ(listed, rel.size());
+  if (!packed) return;
+  std::sort(lists.begin(), lists.end(),
+            [](const auto& a, const auto& b) { return a.begin < b.begin; });
+  size_t end = 0;  // first unit past the lists so far
+  for (const RelationTestPeer::ListView& list : lists) {
+    ASSERT_GE(list.begin, end) << "lists overlap";
+    if (list.begin != end) {
+      ASSERT_EQ(list.begin % chunk, 0u)
+          << "hole of " << list.begin - end << " units before " << list.begin;
+    }
+    end = list.begin + list.capacity;
+  }
+  ASSERT_LE(RelationTestPeer::ArenaUnits(rel, mask), (end + chunk - 1) /
+                                                         chunk * chunk);
+}
+
+/// Probe windows of `mask` on `rel` against the set model: the full-range
+/// probe of the first key and of 200 random keys selects exactly the
+/// model's tuples with that key, and 64 random windows return the
+/// matching rows a scan finds there.
+void CheckWindowsAgainstModel(const Relation& rel, const std::set<Tuple>& model,
+                              uint64_t mask, std::mt19937_64& rng) {
+  std::map<Tuple, std::set<Tuple>> by_key;
+  for (const Tuple& t : model) by_key[KeyOf(t, mask)].insert(t);
+  std::vector<const Tuple*> keys;
+  for (const auto& [key, tuples] : by_key) keys.push_back(&key);
+  auto random_key = [&] { return *keys[rng() % keys.size()]; };
+  for (int i = 0; i <= 200; ++i) {
+    const Tuple key = i == 0 ? by_key.begin()->first : random_key();
+    std::set<Tuple> got;
+    for (uint32_t r : ProbeBoth(rel, mask, key, 0, rel.size())) {
+      got.emplace(rel.Row(r).begin(), rel.Row(r).end());
+    }
+    ASSERT_EQ(got, by_key.at(key));
+  }
+  for (int i = 0; i < 64; ++i) {
+    const Tuple key = random_key();
+    const size_t from = rng() % (rel.size() + 1);
+    const size_t to = from + rng() % (rel.size() - from + 1);
+    std::vector<uint32_t> expected;
+    for (size_t r = from; r < to; ++r) {
+      size_t k = 0;
+      bool match = true;
+      for (uint32_t col = 0; col < rel.arity(); ++col) {
+        if (mask & (uint64_t{1} << col)) match &= rel.Row(r)[col] == key[k++];
+      }
+      if (match) expected.push_back(static_cast<uint32_t>(r));
+    }
+    ASSERT_EQ(ProbeBoth(rel, mask, key, from, to), expected)
+        << "window [" << from << ", " << to << ")";
+  }
+}
+
+TEST(RelationModelTest, BuildsFromScratchArePackedAndMatchTheModel) {
+  // Skewed first columns: key 7 owns more rows than an arena chunk holds
+  // (an oversized list), a few keys own hundreds, the rest a handful.
+  const size_t chunk = RelationTestPeer::ArenaChunkUnits();
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    std::mt19937_64 rng(seed);
+    Relation rel(2);
+    std::set<Tuple> model;
+    for (TermId i = 0; model.size() < chunk + chunk / 2 + 20'000; ++i) {
+      const unsigned pick = static_cast<unsigned>(rng() % 100);
+      const TermId key = pick < 55   ? 7
+                         : pick < 65 ? static_cast<TermId>(rng() % 16)
+                                     : static_cast<TermId>(rng() % 4000);
+      const Tuple t{key, static_cast<TermId>(rng() % 50'000)};
+      ASSERT_EQ(rel.Insert(t), model.insert(t).second);
+    }
+    // First probes build both masks from scratch.
+    for (uint64_t mask : {0b01u, 0b10u}) {
+      ASSERT_NO_FATAL_FAILURE(CheckWindowsAgainstModel(rel, model, mask, rng))
+          << "seed " << seed << " mask " << mask;
+      ASSERT_NO_FATAL_FAILURE(CheckListLayout(rel, mask, /*packed=*/true))
+          << "seed " << seed << " mask " << mask;
+    }
+    ASSERT_GT(RelationTestPeer::List(rel, 0b01, Tuple{7}).second, chunk);
+
+    // Retracts invalidate both indices; the next probe (mask 1) and
+    // RebuildIndexes (mask 2) rebuild them from scratch.
+    for (int i = 0; i < 3000; ++i) {
+      std::span<const TermId> row = rel.Row(rng() % rel.size());
+      const Tuple t(row.begin(), row.end());
+      ASSERT_TRUE(rel.Retract(t));
+      ASSERT_EQ(model.erase(t), 1u);
+    }
+    for (uint64_t mask : {0b01u, 0b10u}) {
+      if (mask == 0b10u) rel.RebuildIndexes();
+      ASSERT_NO_FATAL_FAILURE(CheckWindowsAgainstModel(rel, model, mask, rng))
+          << "seed " << seed << " mask " << mask << " after retracts";
+      ASSERT_NO_FATAL_FAILURE(CheckListLayout(rel, mask, /*packed=*/true))
+          << "seed " << seed << " mask " << mask << " after retracts";
+    }
+
+    // A clone appends past the watermark, to the oversized list too: its
+    // lists may move (leaving holes), the source's stay packed.
+    Relation clone(rel);
+    std::set<Tuple> clone_model = model;
+    for (TermId i = 0; i < 2000; ++i) {
+      const Tuple t{i % 3 == 0 ? 7 : static_cast<TermId>(rng() % 4000),
+                    50'000 + i};
+      ASSERT_TRUE(clone.Insert(t));
+      clone_model.insert(t);
+    }
+    clone.RebuildIndexes();
+    for (uint64_t mask : {0b01u, 0b10u}) {
+      ASSERT_NO_FATAL_FAILURE(
+          CheckWindowsAgainstModel(clone, clone_model, mask, rng))
+          << "seed " << seed << " mask " << mask << " clone";
+      ASSERT_NO_FATAL_FAILURE(CheckListLayout(clone, mask, /*packed=*/false))
+          << "seed " << seed << " mask " << mask << " clone";
+      ASSERT_NO_FATAL_FAILURE(CheckWindowsAgainstModel(rel, model, mask, rng))
+          << "seed " << seed << " mask " << mask << " source";
+      ASSERT_NO_FATAL_FAILURE(CheckListLayout(rel, mask, /*packed=*/true))
+          << "seed " << seed << " mask " << mask << " source";
+    }
+  }
 }
 
 TEST(RelationModelTest, MutatingACloneNeverChangesTheSource) {
@@ -982,8 +1159,10 @@ std::unique_ptr<Relation> MakeIndexed(TermId rows, TermId keys) {
 }
 
 TEST(RelationChunkTest, CloneAndOneInsertShareAllButTheTouchedChunks) {
+  // 4-5 rows per key: the built index places each list at capacity 4 or
+  // 8, about 77k arena units, so every array spans at least 4 chunks.
   const TermId rows =
-      static_cast<TermId>(4 * RelationTestPeer::DataChunkRows() + 100);
+      static_cast<TermId>(6 * RelationTestPeer::DataChunkRows() + 100);
   std::unique_ptr<Relation> source = MakeIndexed(rows, 10'000);
   using Peer = RelationTestPeer;
   const Peer::Blocks data = Peer::DataBlocks(*source);

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "ast/universe.h"
 
 namespace magic {
@@ -24,6 +35,259 @@ TEST(SymbolTableTest, FindDoesNotIntern) {
   SymbolId a = table.Intern("x");
   ASSERT_TRUE(table.Find("x").has_value());
   EXPECT_EQ(*table.Find("x"), a);
+}
+
+TEST(SymbolTableTest, RandomizedInterningOverSeveralDoublings) {
+  // A base table and an overlay each grow their lookup tables from 16
+  // slots through 9+ doublings. Ids stay dense and stable, re-interning
+  // returns the first id, and Find and Name round-trip on both layers;
+  // names the base interns after the overlay's horizon stay invisible to
+  // it.
+  std::mt19937_64 rng(7);
+  SymbolTable base;
+  std::vector<std::string> base_names;
+  auto intern_base = [&](const std::string& name) {
+    const size_t before = base.size();
+    const SymbolId id = base.Intern(name);
+    if (base.size() > before) {
+      EXPECT_EQ(id, before) << name;  // dense: the next id
+      base_names.push_back(name);
+    }
+    EXPECT_EQ(base_names[id], name);
+  };
+  for (int i = 0; i < 6000; ++i) {
+    // Re-interns mixed in: roughly one name in three is a repeat.
+    intern_base(rng() % 3 == 0 && !base_names.empty()
+                    ? base_names[rng() % base_names.size()]
+                    : "b" + std::to_string(rng() % 100'000));
+  }
+  const SymbolId horizon = static_cast<SymbolId>(base.size());
+
+  SymbolTable overlay(&base);
+  std::vector<std::string> local_names;  // overlay ids horizon, horizon+1, ...
+  std::vector<std::string> late_names;   // base ids past the horizon
+  for (int i = 0; i < 6000; ++i) {
+    const unsigned op = static_cast<unsigned>(rng() % 4);
+    if (op == 0) {
+      // A base name the overlay saw at creation keeps the base's id.
+      const SymbolId id = static_cast<SymbolId>(rng() % horizon);
+      ASSERT_EQ(overlay.Intern(base_names[id]), id);
+    } else if (op == 1) {
+      const std::string name = "late" + std::to_string(i);
+      late_names.push_back(name);
+      intern_base(name);
+    } else {
+      // Fresh overlay names, some of them late base names, which the
+      // overlay shadows with a local id.
+      const std::string name =
+          rng() % 4 == 0 && !late_names.empty()
+              ? late_names[rng() % late_names.size()]
+              : "o" + std::to_string(rng() % 100'000);
+      const size_t before = overlay.size();
+      const SymbolId id = overlay.Intern(name);
+      if (overlay.size() > before) {
+        ASSERT_EQ(id, before);
+        local_names.push_back(name);
+      }
+      ASSERT_GE(id, horizon) << name;
+      ASSERT_EQ(local_names[id - horizon], name);
+    }
+  }
+  ASSERT_EQ(base.size(), base_names.size());
+  ASSERT_EQ(overlay.size(), horizon + local_names.size());
+  ASSERT_GT(local_names.size(), 2048u);  // several doublings past 16 slots
+  for (SymbolId id = 0; id < base_names.size(); ++id) {
+    ASSERT_EQ(base.Name(id), base_names[id]);
+    ASSERT_EQ(base.Find(base_names[id]), id);
+    ASSERT_EQ(base.Intern(base_names[id]), id);
+    if (id < horizon) {
+      ASSERT_EQ(overlay.Find(base_names[id]), id);
+    }
+  }
+  for (size_t i = 0; i < local_names.size(); ++i) {
+    const SymbolId id = horizon + static_cast<SymbolId>(i);
+    ASSERT_EQ(overlay.Name(id), local_names[i]);
+    ASSERT_EQ(overlay.Find(local_names[i]), id);
+    ASSERT_EQ(overlay.Intern(local_names[i]), id);
+  }
+  for (const std::string& name : late_names) {
+    const std::optional<SymbolId> seen = overlay.Find(name);
+    ASSERT_TRUE(!seen.has_value() || *seen >= horizon) << name;
+    if (seen.has_value()) {
+      ASSERT_EQ(overlay.Name(*seen), name);
+    }
+  }
+  EXPECT_FALSE(base.Find("never interned").has_value());
+  EXPECT_FALSE(overlay.Find("never interned").has_value());
+  EXPECT_EQ(overlay.size(), horizon + local_names.size());  // Find interns nothing
+}
+
+TEST(SymbolTableTest, ConcurrentInterningGivesEachNameOneId) {
+  // Writers intern overlapping name ranges (each through a Universe, so
+  // the term arena interns a constant per name too) while readers look
+  // names up and read back the terms published so far. Every name ends
+  // with exactly one symbol id and one constant term.
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kNames = 12'000;
+  Universe u;
+  auto name_of = [](int i) { return "n" + std::to_string(i); };
+  // Writer w interns names [w * kNames / 8, w * kNames / 8 + kNames / 2)
+  // in a shuffled order, so every name has one to four writers.
+  std::vector<std::vector<std::pair<int, TermId>>> interned(kWriters);
+  std::atomic<int> readers_ready{0};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (readers_ready.load() < kReaders) std::this_thread::yield();
+      std::vector<int> order;
+      for (int i = 0; i < kNames / 2; ++i) order.push_back(w * kNames / 8 + i);
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(w));
+      for (int i : order) interned[w].emplace_back(i, u.Constant(name_of(i)));
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::atomic<size_t> reads{0};
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::mt19937_64 rng(100 + r);
+      readers_ready.fetch_add(1);
+      // At least 1000 lookups, and more for as long as writers run.
+      for (int i = 0; i < 1000 || writers_left.load() > 0; ++i) {
+        const std::string name = name_of(static_cast<int>(rng() % kNames));
+        if (std::optional<SymbolId> id = u.symbols().Find(name)) {
+          EXPECT_EQ(u.symbols().Name(*id), name);
+        }
+        const size_t terms = u.terms().size();
+        if (terms == 0) continue;
+        const TermData& t = u.terms().Get(static_cast<TermId>(rng() % terms));
+        EXPECT_EQ(t.kind, TermKind::kConstant);
+        EXPECT_EQ(u.symbols().Name(t.symbol)[0], 'n');
+        reads.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const int distinct = kNames / 8 * (kWriters - 1) + kNames / 2;
+  EXPECT_EQ(u.symbols().size(), static_cast<size_t>(distinct));
+  EXPECT_EQ(u.terms().size(), static_cast<size_t>(distinct));
+  std::set<SymbolId> symbols;
+  std::set<TermId> terms;
+  std::map<int, TermId> term_of;
+  for (const auto& results : interned) {
+    for (const auto& [i, term] : results) {
+      auto [it, first] = term_of.emplace(i, term);
+      EXPECT_EQ(it->second, term) << "two ids for " << name_of(i);
+    }
+  }
+  ASSERT_EQ(term_of.size(), static_cast<size_t>(distinct));
+  for (const auto& [i, term] : term_of) {
+    const std::optional<SymbolId> id = u.symbols().Find(name_of(i));
+    ASSERT_TRUE(id.has_value()) << name_of(i);
+    EXPECT_EQ(u.terms().Get(term).symbol, *id);
+    EXPECT_EQ(u.symbols().Name(*id), name_of(i));
+    EXPECT_EQ(u.Constant(name_of(i)), term);
+    symbols.insert(*id);
+    terms.insert(term);
+  }
+  EXPECT_EQ(symbols.size(), term_of.size());
+  EXPECT_EQ(terms.size(), term_of.size());
+  EXPECT_GT(reads.load(), 0u);
+}
+
+TEST(TermArenaTest, RandomizedInterningOverSeveralDoublings) {
+  // Constants, integers (negative and extreme), compounds over earlier
+  // terms and affine terms over variables, interned in a seeded order
+  // with repeats until the dedup table has doubled past 16k slots. Ids are
+  // dense and stable, re-interning returns the first id, and Get returns
+  // what was interned.
+  std::mt19937_64 rng(11);
+  Universe u;
+  using Key = std::tuple<TermKind, SymbolId, int64_t, int64_t, int64_t,
+                         std::vector<TermId>>;
+  std::map<Key, TermId> model;
+  std::vector<Key> keys;  // by id
+  std::vector<TermId> variables;
+  auto check = [&](const Key& key, TermId id) {
+    auto [it, fresh] = model.emplace(key, id);
+    if (fresh) {
+      ASSERT_EQ(id, keys.size()) << "ids must be dense";
+      keys.push_back(key);
+    }
+    ASSERT_EQ(it->second, id);
+    ASSERT_EQ(u.terms().size(), keys.size());
+  };
+  const std::vector<int64_t> extremes = {
+      0, -1, 1, std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max(), int64_t{1} << 32,
+      -(int64_t{1} << 32)};
+  for (int step = 0; step < 15'000; ++step) {
+    const unsigned op = static_cast<unsigned>(rng() % 10);
+    if (op < 3) {
+      const std::string name = "k" + std::to_string(rng() % 3000);
+      const TermId id = u.Constant(name);
+      ASSERT_NO_FATAL_FAILURE(check(
+          Key{TermKind::kConstant, *u.symbols().Find(name), 0, 0, 0, {}}, id));
+    } else if (op < 6) {
+      const int64_t value =
+          rng() % 4 == 0 ? extremes[rng() % extremes.size()]
+                         : static_cast<int64_t>(rng() % 2 == 0 ? rng()
+                                                             : rng() % 5000) *
+                               (rng() % 2 == 0 ? -1 : 1);
+      ASSERT_NO_FATAL_FAILURE(
+          check(Key{TermKind::kInteger, 0, value, 0, 0, {}}, u.Integer(value)));
+    } else if (op < 7) {
+      const std::string name = "V" + std::to_string(rng() % 40);
+      const TermId id = u.Variable(name);
+      variables.push_back(id);
+      ASSERT_NO_FATAL_FAILURE(check(
+          Key{TermKind::kVariable, *u.symbols().Find(name), 0, 0, 0, {}}, id));
+    } else if (op < 9 && !keys.empty()) {
+      const std::string functor = rng() % 2 == 0 ? "f" : ".";
+      std::vector<TermId> args(1 + rng() % 3);
+      for (TermId& arg : args) arg = static_cast<TermId>(rng() % keys.size());
+      const TermId id = u.Compound(functor, args);
+      ASSERT_NO_FATAL_FAILURE(check(Key{TermKind::kCompound,
+                                        *u.symbols().Find(functor), 0, 0, 0,
+                                        args},
+                                    id));
+    } else if (!variables.empty()) {
+      const TermId var = variables[rng() % variables.size()];
+      const int64_t mul = 1 + static_cast<int64_t>(rng() % 4);
+      const int64_t add = static_cast<int64_t>(rng() % 7) - 3;
+      ASSERT_NO_FATAL_FAILURE(check(
+          Key{TermKind::kAffine, 0, 0, mul, add, {var}},
+          u.Affine(var, mul, add)));
+    }
+  }
+  ASSERT_GT(keys.size(), 8192u);
+  for (TermId id = 0; id < keys.size(); ++id) {
+    const auto& [kind, symbol, value, mul, add, children] = keys[id];
+    const TermData& t = u.terms().Get(id);
+    ASSERT_EQ(t.kind, kind);
+    ASSERT_EQ(t.symbol, symbol);
+    ASSERT_EQ(t.value, value);
+    ASSERT_EQ(t.mul, mul);
+    ASSERT_EQ(t.add, add);
+    ASSERT_EQ(t.children, children);
+  }
+  // Every term again, in reverse: each keeps its id and nothing is added.
+  for (TermId id = static_cast<TermId>(keys.size()); id-- > 0;) {
+    const auto& [kind, symbol, value, mul, add, children] = keys[id];
+    const std::string& name = u.symbols().Name(symbol);
+    TermId again = kInvalidTerm;
+    switch (kind) {
+      case TermKind::kConstant: again = u.Constant(name); break;
+      case TermKind::kInteger: again = u.Integer(value); break;
+      case TermKind::kVariable: again = u.Variable(name); break;
+      case TermKind::kCompound: again = u.Compound(name, children); break;
+      case TermKind::kAffine: again = u.Affine(children[0], mul, add); break;
+    }
+    ASSERT_EQ(again, id);
+  }
+  EXPECT_EQ(u.terms().size(), keys.size());
 }
 
 TEST(TermArenaTest, HashConsingDeduplicatesGroundTerms) {
