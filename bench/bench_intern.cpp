@@ -1,26 +1,27 @@
 // Layer microbench for interning and index builds: the memory a loaded
 // database pays before and beside its rows.
 //
-//   ./build/bench_intern [--constants N] [--rows N] [--keys N]
+//   ./build/bench_intern
 //
 // Prints one JSON line per measurement:
-//   * intern: N fresh constants interned through Universe::Constant (symbol
-//     table plus term arena), then all N interned again. ns per new and
-//     per repeat intern, and bytes per constant as the process's resident
-//     set growth (VmRSS in /proc/self/status) over the fresh pass.
-//   * index_build: the first-column index of an arity-2 relation of N rows
-//     over K keys (uniform random, like perfbench's DAG), built two ways:
-//     from scratch on the first probe, and extended row by row past a
-//     one-row watermark. ms, resident bytes per indexed row, and the chunk
-//     bytes the build allocated (ChunkBytesAllocatedByThisThread, which
-//     counts every block allocated, including the ones a doubling frees).
+//   * intern: kConstants fresh constants interned through Universe::Constant
+//     (symbol table plus term arena), then all of them interned again. ns
+//     per new and per repeat intern, and bytes per constant as the
+//     process's resident set growth (VmRSS in /proc/self/status) over the
+//     fresh pass.
+//   * index_build: the first-column index of an arity-2 relation of kRows
+//     rows over kKeys keys (uniform random, like perfbench's DAG), built
+//     two ways: from scratch on the first probe, and extended row by row
+//     past a one-row watermark. ms, resident bytes per indexed row, and the
+//     chunk bytes the build allocated (ChunkBytesAllocatedByThisThread,
+//     which counts every block allocated, including the ones a doubling
+//     frees).
 // Single-threaded; numbers are from one run, so repeat it for a spread.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <malloc.h>
 #include <random>
@@ -32,6 +33,10 @@
 
 namespace magic {
 namespace {
+
+constexpr size_t kConstants = 1'000'000;
+constexpr size_t kRows = 1'000'000;
+constexpr uint32_t kKeys = 125'000;
 
 /// Resident set size of this process in bytes (VmRSS), or 0 if unreadable.
 /// Returns freed heap memory to the system first, so a delta counts what
@@ -57,7 +62,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 void BenchIntern(size_t constants) {
   std::vector<std::string> names;
   names.reserve(constants);
-  for (size_t i = 0; i < constants; ++i) names.push_back("n" + std::to_string(i));
+  for (size_t i = 0; i < constants; ++i) {
+    names.push_back("n" + std::to_string(i));
+  }
   Universe u;
   uint64_t checksum = 0;
 
@@ -111,6 +118,8 @@ void BenchIndexBuild(size_t rows, uint32_t keys) {
   for (size_t i = 0; i < rows; ++i) {
     tuples[i] = {static_cast<TermId>(rng() % keys), static_cast<TermId>(i)};
   }
+  // Probes by the first column; only the index build they trigger is timed.
+  const std::vector<TermId> key = {tuples[0][0]};
   std::vector<uint32_t> out;
   // Both relations stay alive, so the second build's blocks cannot reuse
   // memory the first one freed.
@@ -120,13 +129,13 @@ void BenchIndexBuild(size_t rows, uint32_t keys) {
       [&] {
         for (const auto& t : tuples) scratch.Insert(t);
       },
-      [&] { scratch.Probe(0b01, tuples[0], 0, 1, &out); });
+      [&] { scratch.Probe(0b01, key, 0, 1, &out); });
   Relation incremental(2);
   TimeIndexBuild(
       "incremental", &incremental,
       [&] {
         incremental.Insert(tuples[0]);
-        incremental.Probe(0b01, tuples[0], 0, 1, &out);  // watermark 1
+        incremental.Probe(0b01, key, 0, 1, &out);  // watermark 1
         for (const auto& t : tuples) incremental.Insert(t);
       },
       [&] { incremental.RebuildIndexes(); });
@@ -135,31 +144,8 @@ void BenchIndexBuild(size_t rows, uint32_t keys) {
 }  // namespace
 }  // namespace magic
 
-int main(int argc, char** argv) {
-  size_t constants = 1'000'000;
-  size_t rows = 1'000'000;
-  uint32_t keys = 125'000;
-  for (int i = 1; i < argc; i += 2) {
-    const unsigned long long value =
-        i + 1 < argc ? std::strtoull(argv[i + 1], nullptr, 10) : 0;
-    if (value == 0 || value > UINT32_MAX) {
-      std::fprintf(stderr, "bench_intern: %s needs a count in [1, 2^32)\n",
-                   argv[i]);
-      return 2;
-    }
-    if (std::strcmp(argv[i], "--constants") == 0) {
-      constants = value;
-    } else if (std::strcmp(argv[i], "--rows") == 0) {
-      rows = value;
-    } else if (std::strcmp(argv[i], "--keys") == 0) {
-      keys = static_cast<uint32_t>(value);
-    } else {
-      std::fprintf(stderr, "usage: %s [--constants N] [--rows N] [--keys N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  magic::BenchIntern(constants);
-  magic::BenchIndexBuild(rows, keys);
+int main() {
+  magic::BenchIntern(magic::kConstants);
+  magic::BenchIndexBuild(magic::kRows, magic::kKeys);
   return 0;
 }
