@@ -75,6 +75,16 @@ rows=$(run query "anc(c0, Y)" | wc -l)
 rows=$(run query "anc(X, X)" | wc -l)
 [ "$rows" -eq 0 ] || fail "expected 0 rows for anc(X, X), got $rows"
 
+# A base-predicate query compiles to a selection form like any other:
+# par(c0, Y) has one row, and a repeat on a new connection is served from
+# the AnswerCache (the cli prints the head line on stderr).
+rows=$(run query "par(c0, Y)" | wc -l)
+[ "$rows" -eq 1 ] || fail "expected 1 row for par(c0, Y), got $rows"
+"$CLI" --port "$PORT" query "par(c0, Y)" 2> "$WORK/par.head" > /dev/null \
+  || fail "repeated par(c0, Y) query rejected"
+grep -q 'cached=1' "$WORK/par.head" \
+  || fail "repeated par(c0, Y) was not served from the AnswerCache"
+
 # A non-ground compound goal argument is refused: projecting f(X) as a
 # free column would also return answers that do not unify with it.
 if run query "anc(f(X), Y)" > /dev/null; then

@@ -12,11 +12,6 @@ Result<PreparedQueryForm> PreparedQueryForm::Prepare(
   if (Status st = CheckQueryArgs(*program.universe(), exemplar); !st.ok()) {
     return st;
   }
-  if (!program.IsHeadPredicate(exemplar.goal.pred)) {
-    return Status::InvalidArgument(
-        "query predicate is not derived by the program; base-predicate "
-        "queries are answered directly from the database");
-  }
 
   auto plan = std::make_shared<Plan>();
   // All compilation output (adorned/magic/supplementary predicate
@@ -28,19 +23,24 @@ Result<PreparedQueryForm> PreparedQueryForm::Prepare(
   plan->strategy = options.strategy;
   plan->exemplar = exemplar;
   plan->eval_options = options.eval;
+  const Universe& u = *plan->universe;
 
   // The input rules re-bound to the plan universe: every id they carry is a
   // base id, which the overlay resolves identically.
   Program plan_program(plan->universe);
   plan_program.rules() = program.rules();
+  // The program Answer() evaluates bottom-up; null for selections (a
+  // base-predicate query evaluates nothing) and for kTopDown.
+  const Program* evaluated = nullptr;
 
-  const Universe& u = *plan->universe;
-  if (options.strategy == Strategy::kNaiveBottomUp ||
-      options.strategy == Strategy::kSemiNaiveBottomUp) {
+  if (!program.IsHeadPredicate(exemplar.goal.pred)) {
+    plan->adornment = QueryAdornment(u, exemplar);
+  } else if (options.strategy == Strategy::kNaiveBottomUp ||
+             options.strategy == Strategy::kSemiNaiveBottomUp) {
     plan->adornment = QueryAdornment(u, exemplar);
     plan->eval_options.seminaive =
         options.strategy == Strategy::kSemiNaiveBottomUp;
-    plan->original = std::move(plan_program);
+    evaluated = &plan_program;
   } else {
     std::unique_ptr<SipStrategy> sip = MakeSipStrategy(options.sip);
     if (sip == nullptr) {
@@ -70,6 +70,7 @@ Result<PreparedQueryForm> PreparedQueryForm::Prepare(
           *adorned, options.strategy, options.guard_mode);
       if (!rewritten.ok()) return rewritten.status();
       plan->rewritten = std::move(*rewritten);
+      evaluated = &plan->rewritten.program;
     }
   }
 
@@ -81,27 +82,26 @@ Result<PreparedQueryForm> PreparedQueryForm::Prepare(
 
   // Print the evaluated program's rules once, at compile time, so the
   // per-request profile path never touches the printer.
-  const Program& evaluated = plan->original.has_value() ? *plan->original
-                             : plan->adorned.has_value()
-                                 ? plan->adorned->program
-                                 : plan->rewritten.program;
-  plan->rule_labels.reserve(evaluated.rules().size());
-  for (const Rule& rule : evaluated.rules()) {
-    plan->rule_labels.push_back(RuleToString(u, rule));
+  const Program* labelled =
+      plan->adorned.has_value() ? &plan->adorned->program : evaluated;
+  if (labelled != nullptr) {
+    plan->rule_labels.reserve(labelled->rules().size());
+    for (const Rule& rule : labelled->rules()) {
+      plan->rule_labels.push_back(RuleToString(u, rule));
+    }
   }
 
   // Bottom-up strategies: compile the evaluated program's join programs
   // once, here, so Answer() never re-analyzes rules. Seed predicates are
   // known at compile time (the rewrite's seed template), which is what
-  // lets literal IDB/EDB classification be static. Provenance-tracking
-  // plans keep the interpreter (it owns the match-trace machinery).
-  if (!plan->eval_options.track_provenance && !plan->adorned.has_value()) {
+  // lets literal IDB/EDB classification be static.
+  if (evaluated != nullptr) {
     std::vector<PredId> seed_preds;
     if (plan->rewritten.seed.has_value()) {
       seed_preds.push_back(plan->rewritten.seed->pred);
     }
     plan->join_program = std::make_shared<const JoinProgram>(
-        JoinProgram::Compile(evaluated, seed_preds));
+        JoinProgram::Compile(*evaluated, seed_preds));
   }
   PreparedQueryForm form;
   form.plan_ = std::move(plan);
@@ -167,7 +167,8 @@ QueryAnswer PreparedQueryForm::Answer(
   // Answer rows are filtered and projected by one projector: as they are
   // derived when hooked (so the fixpoint stops the moment the caller has
   // enough), otherwise once over the answer relation after the fixpoint.
-  const bool rewriting = IsRewritingStrategy(p.strategy);
+  const bool selection = p.join_program == nullptr && !p.adorned.has_value();
+  const bool rewriting = !selection && IsRewritingStrategy(p.strategy);
   const PredId answer_pred = rewriting ? p.rewritten.answer_pred
                              : p.adorned.has_value() ? p.adorned->query_pred
                                                      : instance.goal.pred;
@@ -179,12 +180,12 @@ QueryAnswer PreparedQueryForm::Answer(
     control.on_fact = MakeAnswerHook(projector, collector);
   }
   const EvalControl* ctl = controlled ? &control : nullptr;
-  auto finish = [&](const std::unordered_map<PredId, Relation>& tables,
-                    StopReason stop, const std::vector<RuleProfile>& rules) {
+  auto finish = [&](const Relation* answers, StopReason stop,
+                    const std::vector<RuleProfile>& rules) {
     if (hooked) {
       if (!sink) answer.tuples = collector.TakeSorted();
-    } else if (auto it = tables.find(answer_pred); it != tables.end()) {
-      answer.tuples = projector.ProjectAll(it->second);
+    } else if (answers != nullptr) {
+      answer.tuples = projector.ProjectAll(*answers);
     }
     answer.outcome = ClassifyOutcome(stop, answer.status);
     const size_t n = std::min(p.rule_labels.size(), rules.size());
@@ -193,28 +194,57 @@ QueryAnswer PreparedQueryForm::Answer(
       answer.profile.push_back(RuleProfileEntry{p.rule_labels[i], rules[i]});
     }
   };
+  auto find = [&](const std::unordered_map<PredId, Relation>& tables) {
+    auto it = tables.find(answer_pred);
+    return it == tables.end() ? nullptr : &it->second;
+  };
 
+  if (selection) {
+    // The query predicate's stored rows are the answers: when hooked they
+    // stream through the collector (polling the control every 4096 rows,
+    // so a deadline or cancel stops the scan), otherwise ProjectAll
+    // extracts them in one pass.
+    const Relation* rel = db.Find(answer_pred);
+    const uint64_t scan_start =
+        limits.trace != nullptr ? obs::Trace::NowNs() : 0;
+    StopReason stop = PollEvalControl(ctl);
+    for (size_t row = 0; hooked && stop == StopReason::kNone &&
+                         rel != nullptr && row < rel->size();
+         ++row) {
+      if ((row & 0xFFF) == 0xFFF) stop = PollEvalControl(ctl);
+      if (stop == StopReason::kNone && !control.on_fact(rel->Row(row))) {
+        stop = StopReason::kSink;
+      }
+    }
+    if (stop == StopReason::kDeadline) {
+      answer.status = Status::DeadlineExceeded("selection deadline exceeded");
+    } else if (stop == StopReason::kCancelled) {
+      answer.status = Status::Cancelled("selection cancelled");
+    }
+    finish(rel, stop, {});
+    if (limits.trace != nullptr) {
+      limits.trace->Record(obs::Stage::kFixpoint, scan_start,
+                           obs::Trace::NowNs());
+    }
+    return answer;
+  }
   if (p.adorned.has_value()) {
     TopDownEngine engine(instance_options);
     TopDownResult result = engine.Run(*p.adorned, instance, db, ctl);
     answer.status = result.status;
     answer.topdown_stats = result.stats;
     answer.total_facts = result.stats.answers;
-    finish(result.answers, result.stop_reason, result.rule_profiles);
+    finish(find(result.answers), result.stop_reason, result.rule_profiles);
     return answer;
   }
   std::vector<Fact> seeds;
   if (rewriting) seeds = MakeSeeds(p.rewritten, instance, u);
-  Evaluator evaluator(instance_options);
-  EvalResult result =
-      p.join_program != nullptr
-          ? evaluator.Run(*p.join_program, u, db, seeds, ctl)
-          : evaluator.Run(rewriting ? p.rewritten.program : *p.original, db,
-                          seeds, ctl);
+  EvalResult result = Evaluator(instance_options)
+                          .Run(*p.join_program, u, db, seeds, ctl);
   answer.status = result.status;
   answer.eval_stats = result.stats;
   answer.total_facts = result.TotalFacts();
-  finish(result.idb, result.stop_reason, result.rule_profiles);
+  finish(find(result.idb), result.stop_reason, result.rule_profiles);
   return answer;
 }
 

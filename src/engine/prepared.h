@@ -32,7 +32,10 @@ class PreparedQueryForm {
  public:
   /// Compiles the query form of `exemplar` (its binding pattern; the actual
   /// constants are ignored) under `options.strategy`. All strategies are
-  /// accepted; base-predicate queries are rejected (they need no plan).
+  /// accepted. This is the one place that tells base from derived: a
+  /// base-predicate query compiles to a *selection* plan (no rules, no
+  /// JoinProgram; strategy and sip do not apply), whose Answer scans the
+  /// relation through the same projector and collector as every form.
   /// With `options.static_safety_check`, a form the Section 10 analysis
   /// proves divergent fails here with an Unsafe status.
   static Result<PreparedQueryForm> Prepare(const Program& program,
@@ -69,11 +72,12 @@ class PreparedQueryForm {
   size_t bound_arity() const { return plan_->bound_positions.size(); }
 
   /// The rewritten program evaluated for every instance (rewriting
-  /// strategies only; empty for naive/semi-naive/top-down plans).
+  /// strategies only; empty for naive/semi-naive/top-down plans and
+  /// selections).
   const RewrittenProgram& rewritten() const { return plan_->rewritten; }
 
   /// The evaluated program's rules, printed once at compile time; indexed
-  /// like every answer's per-rule `profile`.
+  /// like every answer's per-rule `profile`. Empty for a selection.
   const std::vector<std::string>& rule_labels() const {
     return plan_->rule_labels;
   }
@@ -96,20 +100,19 @@ class PreparedQueryForm {
     /// The Section 10 verdict, when EngineOptions::static_safety_check.
     std::string safety_note;
 
-    // Exactly one evaluated program is populated, by strategy family:
+    // Set by plan kind: rewriting plans set `rewritten` and `join_program`,
+    // naive/semi-naive plans `join_program`, kTopDown plans `adorned`; a
+    // selection (a base-predicate query) sets none and scans the query
+    // predicate's relation.
     /// Rewriting strategies: P^mg/P^c/..., evaluated bottom-up from a
     /// per-instance seed.
     RewrittenProgram rewritten;
     /// kTopDown: the adorned program, evaluated QSQR-style.
     std::optional<AdornedProgram> adorned;
-    /// kNaiveBottomUp / kSemiNaiveBottomUp: the original program, rebound
-    /// to the plan universe.
-    std::optional<Program> original;
     std::vector<std::string> rule_labels;
-    /// Bottom-up plans: the evaluated program compiled once into
-    /// slot-addressed join programs (eval/join_program.h). Null for
-    /// kTopDown and for provenance-tracking plans, which run the
-    /// interpreter.
+    /// Bottom-up plans: the evaluated program (the rewritten one, or the
+    /// original for naive/semi-naive) compiled once into slot-addressed
+    /// join programs (eval/join_program.h).
     std::shared_ptr<const JoinProgram> join_program;
   };
 

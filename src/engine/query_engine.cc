@@ -197,13 +197,6 @@ std::vector<std::vector<TermId>> AnswerCollector::TakeSorted() {
   return out;
 }
 
-std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
-                                                      const Query& query,
-                                                      const Relation* rel) {
-  if (rel == nullptr) return {};
-  return AnswerProjector::ForDirect(u, query).ProjectAll(*rel);
-}
-
 Result<RewrittenProgram> QueryEngine::Rewrite(const AdornedProgram& adorned,
                                               Strategy strategy,
                                               GuardMode guard_mode) {
@@ -260,51 +253,6 @@ QueryAnswer QueryEngine::Run(
     std::optional<std::chrono::steady_clock::time_point> admitted) const {
   QueryAnswer answer;
   answer.strategy_name = StrategyName(options_.strategy);
-  const Universe& u = *program.universe();
-  answer.status = CheckQueryArgs(u, query);
-  if (!answer.status.ok()) {
-    answer.outcome = AnswerStatus::kError;
-    return answer;
-  }
-
-  // Base-predicate queries are direct selections (any strategy). With a
-  // bound or a sink the rows stream through the collector, so a row limit
-  // or a deadline stops the scan; otherwise they are extracted in one go.
-  if (!program.IsHeadPredicate(query.goal.pred)) {
-    const Relation* rel = db.Find(query.goal.pred);
-    if (limits.row_limit == 0 && !limits.deadline.has_value() &&
-        limits.cancel == nullptr && !sink) {
-      answer.tuples = ExtractDirectAnswers(u, query, rel);
-      return answer;
-    }
-    AnswerCollector collector(limits.row_limit, sink ? &sink : nullptr);
-    EvalControl control;
-    if (limits.deadline.has_value()) {
-      control.deadline = admitted.value_or(std::chrono::steady_clock::now()) +
-                         *limits.deadline;
-    }
-    if (limits.cancel != nullptr) control.cancel = limits.cancel.get();
-    AnswerProjector projector = AnswerProjector::ForDirect(u, query);
-    auto accept = MakeAnswerHook(projector, collector);
-    StopReason stop = PollEvalControl(&control);
-    for (size_t row = 0;
-         stop == StopReason::kNone && rel != nullptr && row < rel->size();
-         ++row) {
-      if ((row & 0xFFF) == 0xFFF) stop = PollEvalControl(&control);
-      if (stop == StopReason::kNone && !accept(rel->Row(row))) {
-        stop = StopReason::kSink;
-      }
-    }
-    if (!sink) answer.tuples = collector.TakeSorted();
-    if (stop == StopReason::kDeadline) {
-      answer.status = Status::DeadlineExceeded("selection deadline exceeded");
-    } else if (stop == StopReason::kCancelled) {
-      answer.status = Status::Cancelled("selection cancelled");
-    }
-    answer.outcome = ClassifyOutcome(stop, answer.status);
-    return answer;
-  }
-
   // A one-shot query is its form compiled once and answered once.
   Result<PreparedQueryForm> form =
       PreparedQueryForm::Prepare(program, query, options_);
@@ -317,7 +265,8 @@ QueryAnswer QueryEngine::Run(
     }
     return answer;
   }
-  answer = form->Answer(QueryBoundArgs(u, query), db, limits, sink, admitted);
+  answer = form->Answer(QueryBoundArgs(*program.universe(), query), db,
+                        limits, sink, admitted);
   if (options_.explain) {
     for (const std::string& rule : form->rule_labels()) {
       answer.rewritten_text += rule;

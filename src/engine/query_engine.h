@@ -136,10 +136,10 @@ struct QueryAnswer {
   bool truncated() const { return outcome == AnswerStatus::kTruncated; }
 };
 
-/// One-shot facade: a base-predicate query is a direct selection; any
-/// other query compiles its own form (PreparedQueryForm::Prepare) and
-/// answers its bound values through it, with the evaluated program's text
-/// attached when EngineOptions::explain is set.
+/// One-shot facade: every query compiles its own form
+/// (PreparedQueryForm::Prepare, which makes a base-predicate query a
+/// selection) and answers its bound values through it, with the evaluated
+/// program's text attached when EngineOptions::explain is set.
 class QueryEngine {
  public:
   explicit QueryEngine(EngineOptions options = {}) : options_(options) {}
@@ -166,14 +166,6 @@ class QueryEngine {
  private:
   EngineOptions options_;
 };
-
-/// Answers from a direct (non-rewritten) evaluation: selects rows of the
-/// query predicate matching the bound constants (and agreeing wherever the
-/// query repeats a variable) and projects the free positions (sorted,
-/// deduplicated). Used by base-predicate selections.
-std::vector<std::vector<TermId>> ExtractDirectAnswers(const Universe& u,
-                                                      const Query& query,
-                                                      const Relation* rel);
 
 /// The row filter + projection behind every answer extraction, reusable one
 /// row at a time so answer sinks can stream during evaluation instead of

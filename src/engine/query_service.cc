@@ -346,13 +346,10 @@ void QueryService::ServeHit(CachedForm* cached,
   // what a client observes.
   const bool limit_hit = limits.row_limit != 0 && total >= limits.row_limit;
   if (limit_hit) serve = static_cast<size_t>(limits.row_limit);
-  bool sink_stopped = false;
   if (sink) {
-    // The sink sees one decoded tuple at a time.
-    serve = tuples->Decode(serve, [&](const std::vector<TermId>& row) {
-      sink_stopped = !sink(row);
-      return !sink_stopped;
-    });
+    // The sink sees one decoded tuple at a time; it never stops the decode
+    // (see Dispatch).
+    tuples->Decode(serve, sink);
   } else {
     answer.tuples.reserve(serve);
     tuples->Decode(serve, [&](const std::vector<TermId>& row) {
@@ -360,8 +357,7 @@ void QueryService::ServeHit(CachedForm* cached,
       return true;
     });
   }
-  answer.outcome = (limit_hit || sink_stopped) ? AnswerStatus::kTruncated
-                                               : AnswerStatus::kOk;
+  answer.outcome = limit_hit ? AnswerStatus::kTruncated : AnswerStatus::kOk;
 
   cached->queries->Add();
   cached->rows->Add(serve);
@@ -580,45 +576,8 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
     done(std::move(answer));
     return;
   }
-  // Base-predicate queries are direct selections over the EDB; any strategy
-  // serves them without compilation.
-  if (!program_.IsHeadPredicate(request.query.goal.pred)) {
-    if (!Admit(enforce_admission)) {
-      done(OverloadedAnswer());
-      return;
-    }
-    const auto admitted = std::chrono::steady_clock::now();
-    EngineOptions engine_options = options_.engine;
-    engine_options.strategy =
-        request.strategy.value_or(engine_options.strategy);
-    pool_.Submit([this, engine_options = std::move(engine_options),
-                  query = request.query, limits = request.limits,
-                  sink = std::move(sink), done = std::move(done), admitted] {
-      if (limits.deadline.has_value() &&
-          std::chrono::steady_clock::now() >= admitted + *limits.deadline) {
-        deadline_shed_->Add();
-        queries_served_->Add();
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        done(DeadlineShedAnswer());
-        return;
-      }
-      std::shared_ptr<const DatabaseVersion> pinned = versions_.Pin();
-      QueryEngine engine(engine_options);
-      QueryAnswer answer = engine.Run(program_, query, pinned->db(), limits,
-                                      sink, admitted);
-      pinned.reset();  // unpin before the answer is fulfilled
-      queries_served_->Add();
-      if (options_.obs.enabled) {
-        request_latency_->Record(obs::Trace::NowNs() - ToNs(admitted));
-      }
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      done(std::move(answer));
-    });
-    return;
-  }
-
-  // Every derived-predicate strategy — rewriting or not — resolves to a
-  // compiled plan; there is no exclusive-locked fallback path anymore.
+  // Every query — base or derived, any strategy — resolves to a compiled
+  // form; a base-predicate query's form is a selection.
   const FormKey key = MakeKey(request);
   bool compiled = false;
   const uint64_t compile_start =
@@ -650,11 +609,6 @@ Result<QueryService::FormHandle> QueryService::Prepare(
   if (Status st = CheckQueryArgs(*program_.universe(), request.query);
       !st.ok()) {
     return st;
-  }
-  if (!program_.IsHeadPredicate(request.query.goal.pred)) {
-    return Status::InvalidArgument(
-        "base-predicate queries need no preparation; use Submit/Answer "
-        "directly");
   }
   CachedForm* cached = GetOrCompile(request, MakeKey(request));
   if (cached->form == nullptr) return cached->error;

@@ -114,11 +114,13 @@ class AnswerCursor {
 /// (predicate, argument pattern, strategy, sip), where the pattern is the
 /// adornment plus any repeated variable — is compiled exactly once via
 /// PreparedQueryForm::Prepare and cached, and every instance of the form is
-/// just a per-query seed over the same compiled plan. This now holds for
-/// *every* strategy: naive/semi-naive/top-down compile to plans too (the
-/// plan is the original/adorned program plus the instance machinery), so
-/// there is no exclusive-locked fallback path — all strategies serve in
-/// parallel against pinned snapshots. Per-query seeds are independent
+/// just a per-query seed over the same compiled plan. This holds for
+/// *every* query: naive/semi-naive/top-down compile to plans too (the plan
+/// is the original/adorned program plus the instance machinery), and a
+/// base-predicate query compiles to a selection plan, so there is one
+/// request path — every form serves in parallel against pinned snapshots,
+/// with the same admission, deadline shedding, per-form counters, latency,
+/// slow-query ring and AnswerCache. Per-query seeds are independent
 /// (Drabent, arXiv:1012.2299), so instances evaluate concurrently on a
 /// fixed thread pool without re-running the transformation — and can stop
 /// early (row limits, deadlines, cancellation) without affecting any other
@@ -139,8 +141,8 @@ class AnswerCursor {
 /// worker, no admission slot. Any net EDB write publishes a new version
 /// and makes every earlier entry unreachable, so alternating write/serve
 /// phases never see stale answers. Truncated, deadline-expired, cancelled,
-/// and failed answers are never cached; base-predicate requests bypass the
-/// cache. The cache is the only way answers are reused: a miss evaluates.
+/// and failed answers are never cached. The cache is the only way answers
+/// are reused: a miss evaluates.
 /// A worker re-probes the cache when it picks a request up, so a request
 /// whose identical twin filled the cache while it sat in the pool queue is
 /// served from that fill.
@@ -228,10 +230,9 @@ class QueryService {
 
   /// Compiles (or fetches from the cache) the query form of
   /// `request.query`'s binding pattern and returns a stable handle to it.
-  /// Requires a derived-predicate query (base-predicate queries need no
-  /// preparation; Submit serves them directly). Every strategy compiles —
-  /// naive/semi-naive/top-down handles serve against pinned snapshots
-  /// like the rewriting ones.
+  /// Every query and strategy compiles — a base-predicate query to a
+  /// selection, naive/semi-naive/top-down to their plans — and every
+  /// handle serves against pinned snapshots like the rewriting ones.
   Result<FormHandle> Prepare(const QueryRequest& request);
 
   /// Enqueues one query; the future resolves when a worker has evaluated
@@ -479,10 +480,12 @@ class QueryService {
   QueryAnswer OverloadedAnswer() const;
   QueryAnswer DeadlineShedAnswer() const;
 
-  /// Resolves `request` on the calling thread (form cache, base-predicate
-  /// routing) and dispatches its evaluation; `done` is invoked exactly once
-  /// with the final answer — inline for compile errors, admission
-  /// rejections, and answer-cache hits, from a worker otherwise.
+  /// Resolves `request`'s form on the calling thread (form cache) and
+  /// dispatches its evaluation; `done` is invoked exactly once with the
+  /// final answer — inline for compile errors, admission rejections, and
+  /// answer-cache hits, from a worker otherwise. `sink` is empty or
+  /// MakeStreamState's cursor sink, which always returns true: no sink
+  /// here stops an answer early (a cursor stops one by cancelling).
   void Dispatch(const QueryRequest& request, AnswerSink sink,
                 bool enforce_admission, Completion done);
 
@@ -494,6 +497,7 @@ class QueryService {
   /// its deadline anchored) on entry, so queue wait counts against it.
   /// `compile_span` (end_ns != 0 when present) is the request-tier
   /// compile interval, recorded into the trace when one is allocated.
+  /// `sink` is as in Dispatch: it never returns false.
   void DispatchForm(CachedForm* cached, std::vector<TermId> bound_values,
                     QueryLimits limits, AnswerSink sink,
                     bool enforce_admission, Completion done,

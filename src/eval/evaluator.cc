@@ -98,14 +98,12 @@ EvalResult Evaluator::RunInterpreted(const Program& program,
     return result.idb.find(pred) != result.idb.end();
   };
 
-  if (options_.check_range_restriction) {
-    for (size_t i = 0; i < program.rules().size(); ++i) {
-      Status st = CheckRangeRestrictedRule(u, program.rules()[i],
-                                           static_cast<int>(i));
-      if (!st.ok()) {
-        result.status = st;
-        return result;
-      }
+  for (size_t i = 0; i < program.rules().size(); ++i) {
+    Status st =
+        CheckRangeRestrictedRule(u, program.rules()[i], static_cast<int>(i));
+    if (!st.ok()) {
+      result.status = st;
+      return result;
     }
   }
 
@@ -133,7 +131,7 @@ EvalResult Evaluator::RunInterpreted(const Program& program,
     }
     plans.push_back(std::move(plan));
   }
-  if (options_.rule_profile) result.rule_profiles.resize(plans.size());
+  result.rule_profiles.resize(plans.size());
 
   // Watermarks for semi-naive deltas: prev = IDB size before the previous
   // round's insertions became visible, cur = size at the start of this round.
@@ -195,15 +193,10 @@ EvalResult Evaluator::RunInterpreted(const Program& program,
 
     // Per-rule profile: deltas of the run-wide counters across this
     // evaluation, so the profile costs nothing inside the join itself.
-    RuleProfile* profile = options_.rule_profile
-                               ? &result.rule_profiles[rule_index]
-                               : nullptr;
-    if (profile != nullptr) {
-      ++profile->evals;
-      if (delta_pos >= 0) {
-        profile->delta_rows +=
-            views[delta_pos].to - views[delta_pos].from;
-      }
+    RuleProfile& profile = result.rule_profiles[rule_index];
+    ++profile.evals;
+    if (delta_pos >= 0) {
+      profile.delta_rows += views[delta_pos].to - views[delta_pos].from;
     }
     const uint64_t firings_before = result.stats.rule_firings;
     const uint64_t new_before = result.stats.new_facts;
@@ -293,13 +286,10 @@ EvalResult Evaluator::RunInterpreted(const Program& program,
       return true;
     };
     const bool ok = join(join, 0);
-    if (profile != nullptr) {
-      profile->firings += result.stats.rule_firings - firings_before;
-      profile->new_facts += result.stats.new_facts - new_before;
-      profile->duplicate_facts +=
-          result.stats.duplicate_facts - dup_before;
-      profile->join_probes += result.stats.join_probes - probes_before;
-    }
+    profile.firings += result.stats.rule_firings - firings_before;
+    profile.new_facts += result.stats.new_facts - new_before;
+    profile.duplicate_facts += result.stats.duplicate_facts - dup_before;
+    profile.join_probes += result.stats.join_probes - probes_before;
     return ok;
   };
 

@@ -25,15 +25,9 @@ struct EvalOptions {
   /// evaluation of non-range-restricted rules) observable instead of fatal.
   uint64_t max_facts = 10'000'000;
   uint64_t max_iterations = 1'000'000;
-  /// Reject programs whose rules cannot produce ground heads.
-  bool check_range_restriction = true;
   /// Record one derivation (rule + body facts) per derived fact, enabling
   /// ExplainFact to print the paper's derivation trees. Costs memory.
   bool track_provenance = false;
-  /// Accumulate per-rule work counters (RuleProfile) into the result. On
-  /// by default: the increments ride counters the fixpoint already
-  /// maintains, so the marginal cost is an index into a small vector.
-  bool rule_profile = true;
 };
 
 /// Why an evaluation stopped before reaching its natural fixpoint.
@@ -119,8 +113,9 @@ struct EvalResult {
   StopReason stop_reason = StopReason::kNone;
   /// Populated when EvalOptions::track_provenance is set.
   ProvenanceMap provenance;
-  /// Per-rule work profile, indexed like the program's rule list.
-  /// Populated when EvalOptions::rule_profile is set (the default).
+  /// Per-rule work profile, indexed like the program's rule list. Always
+  /// populated: the increments ride counters the fixpoint already
+  /// maintains, so the marginal cost is an index into a small vector.
   std::vector<RuleProfile> rule_profiles;
 
   size_t FactCount(PredId pred) const {

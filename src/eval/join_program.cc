@@ -225,7 +225,7 @@ EvalResult RunJoinProgram(const JoinProgram& jp, const Universe& u,
     return true;
   };
 
-  if (options.check_range_restriction && !jp.range_status.ok()) {
+  if (!jp.range_status.ok()) {
     result.status = jp.range_status;
     return result;
   }
@@ -266,7 +266,7 @@ EvalResult RunJoinProgram(const JoinProgram& jp, const Universe& u,
     edb_rel[i] = edb.Find(jp.edb_preds[i]);
   }
 
-  if (options.rule_profile) result.rule_profiles.resize(jp.rules.size());
+  result.rule_profiles.resize(jp.rules.size());
 
   // Shared scratch, allocated once per run and reused across every rule
   // evaluation: the steady-state join loop performs no heap allocation.
@@ -325,14 +325,10 @@ EvalResult RunJoinProgram(const JoinProgram& jp, const Universe& u,
 
     // Per-rule profile: deltas of the run-wide counters across this
     // evaluation, so the profile costs nothing inside the join itself.
-    RuleProfile* profile = options.rule_profile
-                               ? &result.rule_profiles[rule_index]
-                               : nullptr;
-    if (profile != nullptr) {
-      ++profile->evals;
-      if (delta_pos >= 0) {
-        profile->delta_rows += levels[delta_pos].to - levels[delta_pos].from;
-      }
+    RuleProfile& profile = result.rule_profiles[rule_index];
+    ++profile.evals;
+    if (delta_pos >= 0) {
+      profile.delta_rows += levels[delta_pos].to - levels[delta_pos].from;
     }
     const uint64_t firings_before = result.stats.rule_firings;
     const uint64_t new_before = result.stats.new_facts;
@@ -469,12 +465,10 @@ EvalResult RunJoinProgram(const JoinProgram& jp, const Universe& u,
     };
 
     const bool ok = join(join, 0);
-    if (profile != nullptr) {
-      profile->firings += result.stats.rule_firings - firings_before;
-      profile->new_facts += result.stats.new_facts - new_before;
-      profile->duplicate_facts += result.stats.duplicate_facts - dup_before;
-      profile->join_probes += result.stats.join_probes - probes_before;
-    }
+    profile.firings += result.stats.rule_firings - firings_before;
+    profile.new_facts += result.stats.new_facts - new_before;
+    profile.duplicate_facts += result.stats.duplicate_facts - dup_before;
+    profile.join_probes += result.stats.join_probes - probes_before;
     return ok;
   };
 

@@ -22,9 +22,7 @@ TopDownResult TopDownEngine::Run(const AdornedProgram& adorned,
       control != nullptr && control->trace != nullptr ? obs::Trace::NowNs()
                                                       : 0;
   const Universe& u = *adorned.program.universe();
-  if (options_.rule_profile) {
-    result.rule_profiles.resize(adorned.program.rules().size());
-  }
+  result.rule_profiles.resize(adorned.program.rules().size());
 
   // Deadline/cancellation polling, shared with the bottom-up evaluator.
   StopReason stop = StopReason::kNone;
@@ -183,23 +181,19 @@ TopDownResult TopDownEngine::Run(const AdornedProgram& adorned,
             }
           }
           if (!head_ok) continue;
-          RuleProfile* profile = options_.rule_profile
-                                     ? &result.rule_profiles[ri]
-                                     : nullptr;
           const uint64_t matches_before = body_matches;
           const uint64_t answers_before = answers_inserted;
           const uint64_t dup_before = answer_duplicates;
           const uint64_t subqueries_before = subqueries_inserted;
           const uint64_t probes_before = poll;
           const bool solved = solve(solve, rule, 0, &changed);
-          if (profile != nullptr) {
-            ++profile->evals;
-            profile->firings += body_matches - matches_before;
-            profile->new_facts += answers_inserted - answers_before;
-            profile->duplicate_facts += answer_duplicates - dup_before;
-            profile->join_probes += poll - probes_before;
-            profile->delta_rows += subqueries_inserted - subqueries_before;
-          }
+          RuleProfile& profile = result.rule_profiles[ri];
+          ++profile.evals;
+          profile.firings += body_matches - matches_before;
+          profile.new_facts += answers_inserted - answers_before;
+          profile.duplicate_facts += answer_duplicates - dup_before;
+          profile.join_probes += poll - probes_before;
+          profile.delta_rows += subqueries_inserted - subqueries_before;
           if (!solved) {
             ok = false;
             break;

@@ -34,8 +34,7 @@ struct TopDownResult {
   TopDownStats stats;
   /// Per-rule work profile, indexed like the adorned program's rule list
   /// (`evals` counts (rule, subquery) attempts whose head unified,
-  /// `delta_rows` counts subqueries the rule generated). Populated when
-  /// EvalOptions::rule_profile is set (the default).
+  /// `delta_rows` counts subqueries the rule generated).
   std::vector<RuleProfile> rule_profiles;
 };
 

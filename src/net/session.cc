@@ -214,42 +214,20 @@ bool Session::HandlePrepare(const std::vector<std::string>& args) {
     return Reply(ToWireCode(st.code()), st.message());
   }
 
-  PreparedEntry entry;
-  entry.query = *parsed->query;
-  entry.strategy = opts.strategy;
-  entry.sip = opts.sip;
-  const std::vector<TermId>& goal_args = entry.query.goal.args;
-  for (size_t i = 0; i < goal_args.size(); ++i) {
-    if (u.terms().IsGround(goal_args[i])) {
-      entry.bound_positions.push_back(static_cast<int>(i));
-    }
-  }
-
   QueryRequest request;
-  request.query = entry.query;
+  request.query = *parsed->query;
   request.strategy = opts.strategy;
   request.sip = opts.sip;
-  const PredicateInfo& info = u.predicates().info(entry.query.goal.pred);
-  if (info.kind == PredKind::kBase) {
-    // Base predicates need no compiled form; QUERY/STREAM on this entry
-    // serve through the request tier (entry.handle stays invalid).
-  } else {
-    Result<QueryService::FormHandle> prepared =
-        ctx_->service->Prepare(request);
-    if (!prepared.ok()) {
-      return Reply(ToWireCode(prepared.status().code()),
-                   prepared.status().message());
-    }
-    entry.handle = *prepared;
+  Result<QueryService::FormHandle> prepared = ctx_->service->Prepare(request);
+  if (!prepared.ok()) {
+    return Reply(ToWireCode(prepared.status().code()),
+                 prepared.status().message());
   }
-  std::string adornment;
-  for (size_t i = 0; i < goal_args.size(); ++i) {
-    adornment += u.terms().IsGround(goal_args[i]) ? 'b' : 'f';
-  }
-  size_t bound = entry.bound_positions.size();
-  forms_[name] = std::move(entry);
-  return Reply(WireCode::kOk, "form=" + name + " adornment=" + adornment +
-                                  " bound=" + std::to_string(bound));
+  const QueryService::FormHandle handle = *prepared;
+  forms_[name] = PreparedEntry{handle, request.query};
+  return Reply(WireCode::kOk, "form=" + name + " adornment=" +
+                                  handle.adornment().ToString() + " bound=" +
+                                  std::to_string(handle.bound_arity()));
 }
 
 bool Session::HandleQuery(const std::vector<std::string>& args,
@@ -282,10 +260,10 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
   // and is never served).
   std::vector<TermId> seeds;
   if (tokens.size() > 1) {
-    if (tokens.size() - 1 != entry.bound_positions.size()) {
+    if (tokens.size() - 1 != entry.handle.bound_arity()) {
       return Reply(WireCode::kInvalidArgument,
                    "form '" + name + "' takes " +
-                       std::to_string(entry.bound_positions.size()) +
+                       std::to_string(entry.handle.bound_arity()) +
                        " seed(s), got " + std::to_string(tokens.size() - 1));
     }
     for (size_t i = 1; i < tokens.size(); ++i) {
@@ -299,33 +277,14 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
       seeds.push_back(wrapped->facts[0].args[0]);
     }
   } else {
-    for (int pos : entry.bound_positions) {
-      seeds.push_back(entry.query.goal.args[pos]);
-    }
+    seeds = QueryBoundArgs(u, entry.query);
   }
-
-  // Request path: the handle hot path for compiled forms, the request
-  // tier for base predicates (seeds substituted into the goal).
-  auto run_request_tier = [&]() {
-    QueryRequest request;
-    request.query = entry.query;
-    for (size_t i = 0; i < entry.bound_positions.size(); ++i) {
-      request.query.goal.args[entry.bound_positions[i]] = seeds[i];
-    }
-    request.strategy = entry.strategy;
-    request.sip = entry.sip;
-    request.limits = opts.limits;
-    return request;
-  };
 
   std::vector<int> free_positions = QueryFreePositions(u, entry.query);
 
   if (!streaming) {
     QueryAnswer answer =
-        entry.handle.valid()
-            ? ctx_->service->Answer(entry.handle, std::move(seeds),
-                                    opts.limits)
-            : ctx_->service->Answer(run_request_tier());
+        ctx_->service->Answer(entry.handle, std::move(seeds), opts.limits);
     WireCode code = ToWireCode(answer.outcome, answer.status.code());
     if (!answer.status.ok()) {
       return Reply(code, answer.status.message());
@@ -344,9 +303,7 @@ bool Session::HandleQuery(const std::vector<std::string>& args,
   }
 
   AnswerCursor cursor =
-      entry.handle.valid()
-          ? ctx_->service->Stream(entry.handle, std::move(seeds), opts.limits)
-          : ctx_->service->Stream(run_request_tier());
+      ctx_->service->Stream(entry.handle, std::move(seeds), opts.limits);
   constexpr size_t kChunk = 64;
   std::vector<std::vector<TermId>> chunk;
   size_t rows = 0;

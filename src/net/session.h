@@ -92,14 +92,13 @@ class Session {
   void Run();
 
  private:
+  /// A named form: every PREPARE (base predicate or derived, under the
+  /// PREPARE-time strategy and sip) yields a valid handle, and QUERY/STREAM
+  /// serve through it.
   struct PreparedEntry {
-    /// Invalid for base-predicate queries (they need no compilation);
-    /// those serve through the request tier instead.
     QueryService::FormHandle handle;
-    Query query;                      // the PREPARE text's parse
-    std::vector<int> bound_positions; // goal positions seeds substitute
-    std::optional<Strategy> strategy; // PREPARE-time overrides
-    std::optional<std::string> sip;
+    /// The PREPARE text's parse; its constants are the default seed.
+    Query query;
   };
 
   /// Dispatches one request frame. Returns false when the session should

@@ -166,7 +166,7 @@ TEST(QueryEngineTest, AnswersAreSortedAndUnique) {
 }
 
 // Answer extraction: AnswerProjector::ForRewritten (over a magic rewrite)
-// and ExtractDirectAnswers (over a plain semi-naive run) against a std::set
+// and AnswerProjector::ForDirect (over a plain semi-naive run) against a std::set
 // reference built from the transitive closure by hand.
 
 constexpr const char* kAncestorGraph = R"(
@@ -270,7 +270,8 @@ TEST_P(AnswerExtractionTest, DirectExtractionMatchesReference) {
   EvalResult result = Evaluator().Run(unit_.program, *db_, {});
   ASSERT_TRUE(result.status.ok());
   const PredId anc = unit_.query->goal.pred;
-  EXPECT_EQ(ExtractDirectAnswers(u, *unit_.query, &result.idb.at(anc)),
+  EXPECT_EQ(AnswerProjector::ForDirect(u, *unit_.query)
+                .ProjectAll(result.idb.at(anc)),
             Sorted(expected_));
 }
 

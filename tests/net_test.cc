@@ -247,6 +247,40 @@ TEST_F(NetServerTest, PrepareQueryStreamApplyStatsCloseRoundTrip) {
   EXPECT_FALSE(client.Call("STATS").ok());
 }
 
+TEST_F(NetServerTest, BasePredicateFormServesThroughTheAnswerCache) {
+  StartServer();
+  MagicClient client = Connect();
+
+  // A base-predicate query prepares a selection form like any other.
+  auto prep = client.Call("PREPARE p par(c0, Y)");
+  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+  ASSERT_EQ(prep->code, WireCode::kOk) << prep->head;
+  EXPECT_NE(prep->head.find("adornment=bf"), std::string::npos);
+  EXPECT_NE(prep->head.find("bound=1"), std::string::npos);
+
+  // The chain's one edge out of c0; the repeat is an AnswerCache hit.
+  auto first = client.Call("QUERY p");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->code, WireCode::kOk) << first->head;
+  EXPECT_EQ(first->lines, std::vector<std::string>{"c1"});
+  EXPECT_NE(first->head.find("cached=0"), std::string::npos) << first->head;
+  auto second = client.Call("QUERY p");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->code, WireCode::kOk) << second->head;
+  EXPECT_EQ(second->lines, first->lines);
+  EXPECT_NE(second->head.find("cached=1"), std::string::npos) << second->head;
+
+  // STREAM returns the same rows.
+  std::vector<std::string> rows;
+  auto streamed = client.Stream("STREAM p", [&](const std::string& row) {
+    rows.push_back(row);
+    return true;
+  });
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->code, WireCode::kOk) << streamed->head;
+  EXPECT_EQ(rows, first->lines);
+}
+
 TEST_F(NetServerTest, GarbageVerbKeepsTheConnectionAlive) {
   StartServer();
   MagicClient client = Connect();

@@ -7,6 +7,9 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <random>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -241,7 +244,8 @@ TEST(QueryServiceTest, BasePredicateQueriesAreDirectSelections) {
   EXPECT_EQ(u.TermToString(answer.tuples[0][0]), "c4");
   // The answer names the strategy the request asked for.
   EXPECT_EQ(answer.strategy_name, "topdown");
-  EXPECT_EQ(service.stats().forms_compiled, 0u);
+  // A selection is a compiled form like any other.
+  EXPECT_EQ(service.stats().forms_compiled, 1u);
 }
 
 TEST(QueryServiceTest, ServesNonRewritingStrategiesAsPreparedForms) {
@@ -331,7 +335,7 @@ TEST(QueryServiceTest, PreparesNonRewritingStrategyHandles) {
   }
 }
 
-TEST(QueryServiceTest, PrepareRejectsBasePredicatesAndBadSip) {
+TEST(QueryServiceTest, PreparesBasePredicatesAndRejectsBadSip) {
   Workload w = MakeAncestorChain(5);
   Universe& u = *w.universe;
   QueryServiceOptions options;
@@ -341,8 +345,13 @@ TEST(QueryServiceTest, PrepareRejectsBasePredicatesAndBadSip) {
   QueryRequest base;
   base.query.goal.pred = *u.predicates().Find(*u.symbols().Find("par"), 2);
   base.query.goal.args = {u.Constant("c0"), u.FreshVariable("Y")};
-  EXPECT_EQ(service.Prepare(base).status().code(),
-            StatusCode::kInvalidArgument);
+  auto selection = service.Prepare(base);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  EXPECT_EQ(selection->adornment().ToString(), "bf");
+  QueryAnswer answer = service.Answer(*selection, {u.Constant("c1")});
+  ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+  ASSERT_EQ(answer.tuples.size(), 1u);
+  EXPECT_EQ(u.TermToString(answer.tuples[0][0]), "c2");
 
   QueryRequest bad_sip;
   bad_sip.query = w.query;
@@ -916,6 +925,162 @@ TEST(QueryServiceTest, RepeatedVariableBaseSelectionIsTheDiagonal) {
   AnswerCursor cursor = service.Stream(request);
   EXPECT_EQ(Render(u, Drain(cursor)), diagonal);
   ASSERT_TRUE(cursor.Finish().status.ok());
+}
+
+/// The reference answer of a base-predicate query: every stored row of
+/// `rel` whose ground positions equal the goal's constants and whose
+/// repeated-variable positions agree, projected onto the non-ground
+/// positions. Scans the relation directly rather than through
+/// AnswerProjector, so it checks the selection form independently.
+std::set<std::vector<TermId>> ScanSelection(const Universe& u,
+                                            const Relation* rel,
+                                            const Query& query) {
+  std::set<std::vector<TermId>> answers;
+  const std::vector<TermId>& args = query.goal.args;
+  for (size_t row = 0; rel != nullptr && row < rel->size(); ++row) {
+    std::span<const TermId> tuple = rel->Row(row);
+    std::vector<TermId> projected;
+    bool match = true;
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (u.terms().IsGround(args[i])) {
+        match = match && tuple[i] == args[i];
+        continue;
+      }
+      const size_t first = static_cast<size_t>(
+          std::find(args.begin(), args.end(), args[i]) - args.begin());
+      match = match && tuple[first] == tuple[i];
+      projected.push_back(tuple[i]);
+    }
+    if (match) answers.insert(std::move(projected));
+  }
+  return answers;
+}
+
+TEST(QueryServiceTest, RandomizedSelectionsMatchAScanAcrossWrites) {
+  // Base-predicate queries of every shape, through the request tier, the
+  // handle tier and Stream (with row limits and a preset cancel), with
+  // inserts and retracts on the queried relation interleaved. Each kOk
+  // answer must equal a scan of the relation after the last write; a
+  // repeat is an AnswerCache hit until a write mutates par, after which
+  // the next read evaluates afresh.
+  auto parsed = ParseUnit(
+      "anc(X, Y) :- par(X, Y).\n"
+      "anc(X, Y) :- par(X, Z), anc(Z, Y).\n"
+      "par(n0, n1). par(n1, n2). par(n2, n2). par(n3, n0).");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Universe& u = *parsed->program.universe();
+  Database db(parsed->program.universe());
+  for (const Fact& fact : parsed->facts) ASSERT_TRUE(db.AddFact(fact).ok());
+  const PredId par = *u.predicates().Find(*u.symbols().Find("par"), 2);
+  std::vector<TermId> nodes;
+  for (int i = 0; i < 5; ++i) {
+    nodes.push_back(u.Constant("n" + std::to_string(i)));
+  }
+  const TermId x = u.FreshVariable("X");
+  const TermId y = u.FreshVariable("Y");
+  const TermId c = u.Constant("n0");
+  // par(c,Y), par(X,c), par(X,X), par(c,d), par(X,Y): the exemplars'
+  // constants mark the bound positions; each read picks its own.
+  const std::vector<std::vector<TermId>> shapes = {
+      {c, y}, {x, c}, {x, x}, {c, c}, {x, y}};
+
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  QueryService service(parsed->program, db, options);
+  std::vector<QueryService::FormHandle> handles;
+  for (const std::vector<TermId>& shape : shapes) {
+    QueryRequest exemplar;
+    exemplar.query.goal = Literal{par, shape};
+    auto handle = service.Prepare(exemplar);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+
+  std::mt19937 rng(24);
+  auto pick = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  // Instances answered kOk since the last write that mutated par: their
+  // next read must come from the AnswerCache.
+  std::set<std::pair<size_t, std::vector<TermId>>> warm;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (pick(5) == 0) {
+      WriteBatch batch;
+      std::vector<TermId> edge = {nodes[pick(nodes.size())],
+                                  nodes[pick(nodes.size())]};
+      if (pick(2) == 0) {
+        batch.Insert(par, edge);
+      } else {
+        batch.Retract(par, edge);
+      }
+      Result<WriteResult> written = service.ApplyWrites(batch);
+      ASSERT_TRUE(written.ok()) << written.status().ToString();
+      if (written->relations_mutated > 0) warm.clear();
+      continue;
+    }
+
+    const size_t shape = pick(shapes.size());
+    Query instance;
+    instance.goal = Literal{par, shapes[shape]};
+    std::vector<TermId> seed;
+    for (TermId& arg : instance.goal.args) {
+      if (!u.terms().IsGround(arg)) continue;
+      arg = nodes[pick(nodes.size())];
+      seed.push_back(arg);
+    }
+    const std::set<std::vector<TermId>> expected =
+        ScanSelection(u, db.Find(par), instance);
+    const bool cached = warm.count({shape, seed}) != 0;
+
+    const size_t tier = pick(4);
+    if (tier < 2) {
+      QueryAnswer answer;
+      if (tier == 0) {
+        QueryRequest request;
+        request.query = instance;
+        answer = service.Answer(request);
+      } else {
+        answer = service.Answer(handles[shape], seed);
+      }
+      ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+      ASSERT_EQ(answer.outcome, AnswerStatus::kOk);
+      EXPECT_EQ(answer.tuples, std::vector<std::vector<TermId>>(
+                                   expected.begin(), expected.end()));
+      EXPECT_EQ(answer.from_cache, cached);
+      warm.insert({shape, seed});
+      continue;
+    }
+
+    QueryLimits limits;
+    const bool cancel = tier == 3;
+    if (cancel) {
+      limits.cancel = std::make_shared<std::atomic<bool>>(true);
+    } else {
+      limits.row_limit = 1 + pick(expected.size() + 2);
+    }
+    AnswerCursor cursor = service.Stream(handles[shape], seed, limits);
+    const std::vector<std::vector<TermId>> streamed = Drain(cursor);
+    const QueryAnswer& final_answer = cursor.Finish();
+    const std::set<std::vector<TermId>> distinct(streamed.begin(),
+                                                 streamed.end());
+    EXPECT_EQ(distinct.size(), streamed.size()) << "duplicate rows streamed";
+    EXPECT_TRUE(std::includes(expected.begin(), expected.end(),
+                              distinct.begin(), distinct.end()));
+    EXPECT_EQ(final_answer.from_cache, cached);
+    if (cancel && !cached) {
+      // A preset token stops the scan before its first row.
+      EXPECT_EQ(final_answer.outcome, AnswerStatus::kCancelled);
+      EXPECT_TRUE(streamed.empty());
+    } else if (!cancel && limits.row_limit <= expected.size()) {
+      EXPECT_EQ(final_answer.outcome, AnswerStatus::kTruncated);
+      EXPECT_EQ(streamed.size(), limits.row_limit);
+    } else {
+      ASSERT_EQ(final_answer.outcome, AnswerStatus::kOk);
+      EXPECT_EQ(distinct, expected);
+      warm.insert({shape, seed});
+    }
+  }
 }
 
 TEST(QueryServiceTest, RepeatedVariableFormIsItsOwnForm) {

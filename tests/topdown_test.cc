@@ -40,8 +40,8 @@ TEST(TopDownTest, AnswersAncestorQuery) {
   )");
   TopDownResult result = TopDownEngine().Run(p.adorned, p.db);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  auto answers = ExtractDirectAnswers(*p.universe, p.adorned.query,
-                                      &result.answers.at(p.adorned.query_pred));
+  auto answers = AnswerProjector::ForDirect(*p.universe, p.adorned.query)
+                     .ProjectAll(result.answers.at(p.adorned.query_pred));
   EXPECT_EQ(answers.size(), 2u);  // b and c; the x->y chain is never touched
 }
 
@@ -68,8 +68,8 @@ TEST(TopDownTest, HandlesFunctionSymbols) {
   )");
   TopDownResult result = TopDownEngine().Run(p.adorned, p.db);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  auto answers = ExtractDirectAnswers(*p.universe, p.adorned.query,
-                                      &result.answers.at(p.adorned.query_pred));
+  auto answers = AnswerProjector::ForDirect(*p.universe, p.adorned.query)
+                     .ProjectAll(result.answers.at(p.adorned.query_pred));
   ASSERT_EQ(answers.size(), 1u);  // projected onto the free position Y
   EXPECT_EQ(p.universe->TermToString(answers[0][0]), "[c,b,a]");
 }
