@@ -76,6 +76,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -174,8 +175,9 @@ void EmitLine(const BenchCase& c, const char* mode, size_t threads,
               size_t queries, double seconds, size_t answers,
               size_t failures, const QueryService::Stats& stats,
               const std::string& extra = std::string()) {
-  // Counter fields come from the one shared reporting path
-  // (Stats::JsonFragment) so the bench never re-aggregates by hand.
+  // Counter fields are the service's own Stats reads (registry cells), so
+  // the bench never re-aggregates by hand; the key names are the ones the
+  // trajectory lines have always carried.
   // `extra` is a mode-specific run of `"key":value,` pairs (the serve
   // mode's rate + arrival-anchored latency percentiles; the mutate mode's
   // publish_p95_ms). Unless an `extra` already carries its own latency
@@ -195,10 +197,21 @@ void EmitLine(const BenchCase& c, const char* mode, size_t threads,
   std::printf(
       "{\"bench\":\"throughput\",\"workload\":\"%s\",\"mode\":\"%s\","
       "\"threads\":%zu,\"queries\":%zu,\"seconds\":%.6f,\"qps\":%.1f,"
-      "\"answers\":%zu,\"failures\":%zu,%s%s%s}\n",
+      "\"answers\":%zu,\"failures\":%zu,%s%s"
+      "\"forms_compiled\":%zu,\"form_cache_hits\":%zu,"
+      "\"answer_hits\":%" PRIu64 ",\"answer_misses\":%" PRIu64 ","
+      "\"answers_from_cache\":%zu,\"deadline_shed\":%zu,"
+      "\"writes_applied\":%zu,\"write_publish_ns\":%" PRIu64 ","
+      "\"versions_published\":%zu,\"answer_evictions\":%" PRIu64 ","
+      "\"answer_bytes\":%zu}\n",
       c.name.c_str(), mode, threads, queries, seconds,
       static_cast<double>(queries) / seconds, answers, failures,
-      extra.c_str(), latency.c_str(), stats.JsonFragment().c_str());
+      extra.c_str(), latency.c_str(), stats.forms_compiled,
+      stats.form_cache_hits, stats.answer_cache.hits,
+      stats.answer_cache.misses, stats.answers_from_cache,
+      stats.deadline_shed, stats.writes_applied, stats.write_publish.sum,
+      stats.versions_published, stats.answer_cache.evictions,
+      stats.answer_cache.bytes);
   std::fflush(stdout);
 }
 

@@ -134,14 +134,17 @@ grep -q '^magicdb_rule_evals_total{' "$WORK/metrics.prom" \
   || fail "metrics exposition missing per-rule profile counters"
 
 # METRICS json (and the STATS payload) must be one well-formed JSON
-# document carrying the per-form histograms and fixpoint profiles.
+# document: the registry walk, with the per-form latency histograms and the
+# per-rule fixpoint profile cells, plus each form's rule texts.
 run metrics json > "$WORK/metrics.json" || fail "metrics json rejected"
-grep -q '"forms":' "$WORK/metrics.json" \
-  || fail "metrics json missing the per-form array"
-grep -q '"profile":' "$WORK/metrics.json" \
-  || fail "metrics json missing the fixpoint profiles"
-grep -q '"eval_latency":' "$WORK/metrics.json" \
-  || fail "metrics json missing the per-form latency histograms"
+grep -o '"magicdb_form_latency_ns":{[^]]*]' "$WORK/metrics.json" \
+  | grep -q '"stage":"eval"' \
+  || fail "metrics json missing the per-form eval latency histograms"
+grep -q '"magicdb_rule_evals":{[^]]*"cells":\[{"labels":' "$WORK/metrics.json" \
+  || fail "metrics json missing the fixpoint profile cells"
+sed -n 's/.*"forms":\(\[.*\]\),"slow_queries".*/\1/p' "$WORK/metrics.json" \
+  | grep -q '"rules":\["' \
+  || fail "metrics json missing the per-form rule texts"
 if command -v python3 > /dev/null 2>&1; then
   python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
     "$WORK/metrics.json" || fail "metrics json does not parse"

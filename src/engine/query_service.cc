@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -96,6 +97,35 @@ uint64_t ToNs(std::chrono::steady_clock::time_point tp) {
           .count());
 }
 
+/// The per-rule fixpoint profile cells: one labelled counter family per
+/// RuleProfile field.
+struct RuleCell {
+  const char* name;
+  const char* help;
+  uint64_t RuleProfile::*field;
+};
+constexpr RuleCell kRuleCells[] = {
+    {"magicdb_rule_evals",
+     "Fixpoint rule evaluations (semi-naive: one per delta position per "
+     "iteration; top-down: subquery rule attempts)",
+     &RuleProfile::evals},
+    {"magicdb_rule_firings", "Complete body matches of the rule",
+     &RuleProfile::firings},
+    {"magicdb_rule_new_facts",
+     "Facts the rule derived that were new to its head relation",
+     &RuleProfile::new_facts},
+    {"magicdb_rule_duplicate_facts",
+     "Facts the rule re-derived (already present)",
+     &RuleProfile::duplicate_facts},
+    {"magicdb_rule_join_probes",
+     "Join candidate rows probed while evaluating the rule",
+     &RuleProfile::join_probes},
+    {"magicdb_rule_delta_rows",
+     "Delta-window rows joined against (semi-naive) or subqueries "
+     "generated (top-down)",
+     &RuleProfile::delta_rows},
+};
+
 /// Renders a bound-value seed for the slow-query log ("c3", "a b", ...).
 std::string SeedToString(const Universe& u, const std::vector<TermId>& seed) {
   std::string out;
@@ -157,23 +187,6 @@ QueryService::QueryService(const Program& program, Database& db,
   writes_queued_gauge_ = metrics_.GetGauge(
       "magicdb_writes_queued", {},
       "Writers waiting for their FIFO commit ticket (live)");
-  pending_gauge_ = metrics_.GetGauge(
-      "magicdb_pending_requests", {},
-      "Requests submitted but not yet completed (refreshed at scrape)");
-  cache_entries_gauge_ = metrics_.GetGauge(
-      "magicdb_answer_cache_entries", {},
-      "AnswerCache resident entries (refreshed at scrape)");
-  cache_bytes_gauge_ = metrics_.GetGauge(
-      "magicdb_answer_cache_bytes", {},
-      "AnswerCache resident bytes (refreshed at scrape)");
-  versions_live_gauge_ = metrics_.GetGauge(
-      "magicdb_db_versions_live", {},
-      "Database versions alive: the head plus reader-pinned older ones "
-      "(refreshed at scrape)");
-  versions_pinned_gauge_ = metrics_.GetGauge(
-      "magicdb_db_versions_pinned", {},
-      "Retired-from-head versions kept alive only by reader pins "
-      "(refreshed at scrape)");
 }
 
 QueryService::~QueryService() = default;
@@ -209,10 +222,6 @@ QueryService::CachedForm* QueryService::GetOrCompile(
   Result<PreparedQueryForm> form =
       PreparedQueryForm::Prepare(program_, request.query, engine_options);
   CachedForm& cached = forms_[key];
-  const Universe& u = *program_.universe();
-  cached.pred_name = u.symbols().Name(u.predicates().info(key.pred).name);
-  cached.strategy = StrategyName(key.strategy);
-  cached.sip = key.sip;
   if (!form.ok()) {
     cached.error = form.status();
     return &cached;
@@ -224,10 +233,14 @@ QueryService::CachedForm* QueryService::GetOrCompile(
   // Register the form's instruments while we still hold form_mutex_ (the
   // metrics mutex ranks above it, so the nesting is legal). One-time cost
   // per form; the serving paths only Add()/Record() through the pointers.
-  cached.form_label =
-      cached.pred_name + "/" + cached.form->adornment().ToString();
-  obs::MetricsRegistry::Labels form_labels{{"form", cached.form_label},
-                                           {"strategy", cached.strategy}};
+  // Every cell carries the full form key, so two forms never share one.
+  const Universe& u = *program_.universe();
+  cached.form_label = u.symbols().Name(u.predicates().info(key.pred).name) +
+                      "/" + cached.form->adornment().ToString();
+  const obs::MetricsRegistry::Labels form_labels{
+      {"form", cached.form_label},
+      {"strategy", StrategyName(key.strategy)},
+      {"sip", key.sip}};
   cached.queries = metrics_.GetCounter(
       "magicdb_form_queries", form_labels,
       "Instances served per compiled form (evaluated or cache-served)");
@@ -248,33 +261,16 @@ QueryService::CachedForm* QueryService::GetOrCompile(
       "Per-instance serving latency by stage (eval vs cache_inline)");
   const std::vector<std::string>& rule_labels =
       cached.form->rule_labels();
-  cached.rule_counters.reserve(rule_labels.size());
+  cached.rule_counters.reserve(rule_labels.size() * std::size(kRuleCells));
   for (size_t i = 0; i < rule_labels.size(); ++i) {
-    // Rules are labelled by index (the full rule text lives in the stats
-    // JSON profile — too long and too free-form for a label value).
-    obs::MetricsRegistry::Labels labels{{"form", cached.form_label},
-                                        {"rule", std::to_string(i)}};
-    RuleCounters rc;
-    rc.evals = metrics_.GetCounter(
-        "magicdb_rule_evals", labels,
-        "Fixpoint rule evaluations (semi-naive: one per delta position "
-        "per iteration; top-down: subquery rule attempts)");
-    rc.firings = metrics_.GetCounter("magicdb_rule_firings", labels,
-                                     "Complete body matches of the rule");
-    rc.new_facts = metrics_.GetCounter(
-        "magicdb_rule_new_facts", labels,
-        "Facts the rule derived that were new to its head relation");
-    rc.duplicate_facts = metrics_.GetCounter(
-        "magicdb_rule_duplicate_facts", labels,
-        "Facts the rule re-derived (already present)");
-    rc.join_probes = metrics_.GetCounter(
-        "magicdb_rule_join_probes", labels,
-        "Join candidate rows probed while evaluating the rule");
-    rc.delta_rows = metrics_.GetCounter(
-        "magicdb_rule_delta_rows", labels,
-        "Delta-window rows joined against (semi-naive) or subqueries "
-        "generated (top-down)");
-    cached.rule_counters.push_back(rc);
+    // Rules are labelled by index (the full rule text is in MetricsJson's
+    // `forms` list — too long and too free-form for a label value).
+    obs::MetricsRegistry::Labels labels = form_labels;
+    labels.emplace_back("rule", std::to_string(i));
+    for (const RuleCell& cell : kRuleCells) {
+      cached.rule_counters.push_back(
+          metrics_.GetCounter(cell.name, labels, cell.help));
+    }
   }
   return &cached;
 }
@@ -337,7 +333,7 @@ void QueryService::ServeHit(CachedForm* cached,
                             const Completion& done) {
   QueryAnswer answer;
   answer.from_cache = true;
-  answer.strategy_name = cached->strategy;
+  answer.strategy_name = StrategyName(cached->form->strategy());
   const size_t total = tuples->size();
   size_t serve = total;
   // Mirror the evaluated path's outcome exactly: AnswerCollector marks
@@ -513,22 +509,21 @@ void QueryService::DispatchForm(CachedForm* cached,
       cached->truncated->Add();
     }
     // Always recorded (the Stopwatch reads predate observability and the
-    // record is three relaxed adds): eval latency feeds eval_micros in
-    // Stats even when the optional obs half is off.
+    // record is three relaxed adds), even when the optional obs half is
+    // off.
     cached->eval_latency->Record(eval_ns);
     // Accumulate this run's per-rule fixpoint profile into the form's
     // registry counters (skipping zero deltas keeps quiet rules free).
     const size_t rules =
-        std::min(answer.profile.size(), cached->rule_counters.size());
+        std::min(answer.profile.size(),
+                 cached->rule_counters.size() / std::size(kRuleCells));
+    obs::Counter* const* counter = cached->rule_counters.data();
     for (size_t i = 0; i < rules; ++i) {
-      const RuleProfile& p = answer.profile[i].counts;
-      RuleCounters& rc = cached->rule_counters[i];
-      if (p.evals != 0) rc.evals->Add(p.evals);
-      if (p.firings != 0) rc.firings->Add(p.firings);
-      if (p.new_facts != 0) rc.new_facts->Add(p.new_facts);
-      if (p.duplicate_facts != 0) rc.duplicate_facts->Add(p.duplicate_facts);
-      if (p.join_probes != 0) rc.join_probes->Add(p.join_probes);
-      if (p.delta_rows != 0) rc.delta_rows->Add(p.delta_rows);
+      for (const RuleCell& cell : kRuleCells) {
+        const uint64_t delta = answer.profile[i].counts.*cell.field;
+        if (delta != 0) (*counter)->Add(delta);
+        ++counter;
+      }
     }
     // Fill on bounded-clean completions only: kOk means the fixpoint ran
     // to completion under no truncating limit, so the tuple set is the
@@ -787,19 +782,7 @@ Result<WriteResult> QueryService::ApplyWrites(const WriteBatch& batch) {
   return result;
 }
 
-QueryService::Stats::Totals QueryService::Stats::totals() const {
-  Totals totals;
-  for (const FormStats& form : forms) {
-    totals.queries += form.queries;
-    totals.rows += form.rows;
-    totals.truncated += form.truncated;
-    totals.eval_micros += form.eval_micros;
-  }
-  return totals;
-}
-
 std::string QueryService::Stats::Summary() const {
-  const Totals all = totals();
   char buffer[768];
   std::snprintf(
       buffer, sizeof(buffer),
@@ -808,124 +791,16 @@ std::string QueryService::Stats::Summary() const {
       "%" PRIu64 " eviction(s), %zu/%zu byte(s); "
       "served %zu (%zu deadline-shed, %zu overloaded); "
       "latency p50/p99 %.3f/%.3f ms over %" PRIu64 " request(s); "
-      "%zu write batch(es) applied (publish %.3f ms); "
-      "form rows %" PRIu64 " (%" PRIu64 " truncated); %zu slow quer(ies)",
+      "%zu write batch(es) applied (publish %.3f ms); %zu slow quer(ies)",
       forms_compiled, form_cache_hits, answer_cache.hits,
       answer_cache.misses, answers_from_cache, answer_cache.evictions,
       answer_cache.bytes, answer_cache.max_bytes, queries_served,
       deadline_shed, overloaded,
       request_latency.Quantile(0.5) / 1e6,
       request_latency.Quantile(0.99) / 1e6, request_latency.count,
-      writes_applied, static_cast<double>(write_publish.sum) / 1e6, all.rows,
-      all.truncated, slow_queries.size());
+      writes_applied, static_cast<double>(write_publish.sum) / 1e6,
+      slow_queries.size());
   return buffer;
-}
-
-namespace {
-
-/// The flat counters both JSON shapes share. Key names are the historical
-/// JsonFragment contract the bench trajectory lines parse;
-/// `write_publish_ns` is the build+publish *sum* (it replaced the retired
-/// `write_drain_ns` when writes stopped draining readers) even though the
-/// full distribution now rides in Json()'s histogram object.
-void WriteFragmentKeys(const QueryService::Stats& stats, JsonWriter& w) {
-  const QueryService::Stats::Totals all = stats.totals();
-  w.Key("forms_compiled").Uint(stats.forms_compiled);
-  w.Key("form_cache_hits").Uint(stats.form_cache_hits);
-  w.Key("answer_hits").Uint(stats.answer_cache.hits);
-  w.Key("answer_misses").Uint(stats.answer_cache.misses);
-  w.Key("answers_from_cache").Uint(stats.answers_from_cache);
-  w.Key("deadline_shed").Uint(stats.deadline_shed);
-  w.Key("writes_applied").Uint(stats.writes_applied);
-  w.Key("write_publish_ns").Uint(stats.write_publish.sum);
-  w.Key("versions_published").Uint(stats.versions_published);
-  w.Key("answer_evictions").Uint(stats.answer_cache.evictions);
-  w.Key("answer_bytes").Uint(stats.answer_cache.bytes);
-  w.Key("form_rows").Uint(all.rows);
-  w.Key("form_truncated").Uint(all.truncated);
-}
-
-void WriteHistogramJson(const obs::HistogramSnapshot& h, JsonWriter& w) {
-  w.BeginObject();
-  w.Key("count").Uint(h.count);
-  w.Key("sum_ns").Uint(h.sum);
-  w.Key("p50_ns").Double(h.Quantile(0.5));
-  w.Key("p95_ns").Double(h.Quantile(0.95));
-  w.Key("p99_ns").Double(h.Quantile(0.99));
-  w.EndObject();
-}
-
-}  // namespace
-
-std::string QueryService::Stats::JsonFragment() const {
-  JsonWriter w;  // fragment mode: no outer braces
-  WriteFragmentKeys(*this, w);
-  return w.str();
-}
-
-std::string QueryService::Stats::Json() const {
-  JsonWriter w;
-  w.BeginObject();
-  WriteFragmentKeys(*this, w);
-  w.Key("queries_served").Uint(queries_served);
-  w.Key("overloaded").Uint(overloaded);
-  w.Key("pending").Uint(pending);
-  w.Key("request_latency");
-  WriteHistogramJson(request_latency, w);
-  w.Key("write_publish");
-  WriteHistogramJson(write_publish, w);
-  w.Key("forms").BeginArray();
-  for (const FormStats& form : forms) {
-    w.BeginObject();
-    w.Key("pred").String(form.pred);
-    w.Key("adornment").String(form.adornment);
-    w.Key("strategy").String(form.strategy);
-    w.Key("sip").String(form.sip);
-    w.Key("queries").Uint(form.queries);
-    w.Key("rows").Uint(form.rows);
-    w.Key("truncated").Uint(form.truncated);
-    w.Key("eval_micros").Uint(form.eval_micros);
-    w.Key("eval_latency");
-    WriteHistogramJson(form.eval_latency, w);
-    w.Key("cache_inline_latency");
-    WriteHistogramJson(form.inline_latency, w);
-    w.Key("profile").BeginArray();
-    for (const RuleProfileEntry& entry : form.profile) {
-      w.BeginObject();
-      w.Key("rule").String(entry.rule);
-      w.Key("evals").Uint(entry.counts.evals);
-      w.Key("firings").Uint(entry.counts.firings);
-      w.Key("new_facts").Uint(entry.counts.new_facts);
-      w.Key("duplicate_facts").Uint(entry.counts.duplicate_facts);
-      w.Key("join_probes").Uint(entry.counts.join_probes);
-      w.Key("delta_rows").Uint(entry.counts.delta_rows);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("slow_queries").BeginArray();
-  for (const obs::SlowQuery& slow : slow_queries) {
-    w.BeginObject();
-    w.Key("form").String(slow.form);
-    w.Key("seed").String(slow.seed);
-    w.Key("total_ns").Uint(slow.total_ns);
-    w.Key("sequence").Uint(slow.sequence);
-    w.Key("spans").BeginArray();
-    for (const obs::Span& span : slow.spans) {
-      w.BeginObject();
-      w.Key("stage").String(obs::StageName(span.stage));
-      w.Key("start_ns").Uint(span.start_ns);
-      w.Key("end_ns").Uint(span.end_ns);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
 }
 
 QueryService::Stats QueryService::stats() const {
@@ -946,54 +821,108 @@ QueryService::Stats QueryService::stats() const {
   stats.request_latency = request_latency_->Snapshot();
   stats.answer_cache = cache_.stats();
   stats.slow_queries = slow_log_.Snapshot();
-  MutexLock lock(form_mutex_);
-  for (const auto& [key, cached] : forms_) {
-    if (cached.form == nullptr) continue;
-    Stats::FormStats form_stats;
-    form_stats.pred = cached.pred_name;
-    form_stats.adornment = cached.form->adornment().ToString();
-    form_stats.strategy = cached.strategy;
-    form_stats.sip = cached.sip;
-    form_stats.queries = cached.queries->value();
-    form_stats.rows = cached.rows->value();
-    form_stats.truncated = cached.truncated->value();
-    form_stats.eval_latency = cached.eval_latency->Snapshot();
-    form_stats.inline_latency = cached.inline_latency->Snapshot();
-    form_stats.eval_micros = form_stats.eval_latency.sum / 1000;
-    const std::vector<std::string>& rule_labels =
-        cached.form->rule_labels();
-    form_stats.profile.reserve(cached.rule_counters.size());
-    for (size_t i = 0; i < cached.rule_counters.size(); ++i) {
-      const RuleCounters& rc = cached.rule_counters[i];
-      RuleProfile counts;
-      counts.evals = rc.evals->value();
-      counts.firings = rc.firings->value();
-      counts.new_facts = rc.new_facts->value();
-      counts.duplicate_facts = rc.duplicate_facts->value();
-      counts.join_probes = rc.join_probes->value();
-      counts.delta_rows = rc.delta_rows->value();
-      form_stats.profile.push_back(RuleProfileEntry{
-          i < rule_labels.size() ? rule_labels[i] : std::string(), counts});
-    }
-    stats.forms.push_back(std::move(form_stats));
-  }
   return stats;
 }
 
-std::string QueryService::MetricsText() const {
-  // Refresh the scrape-time mirrors, then render everything the registry
-  // holds — service counters, latency histograms, per-form and per-rule
-  // counters — through the one exposition path.
-  pending_gauge_->Set(
-      static_cast<int64_t>(pending_.load(std::memory_order_relaxed)));
-  const AnswerCache::Stats cache_stats = cache_.stats();
-  cache_entries_gauge_->Set(static_cast<int64_t>(cache_stats.entries));
-  cache_bytes_gauge_->Set(static_cast<int64_t>(cache_stats.bytes));
+void QueryService::RefreshScrapeGauges() const {
+  const AnswerCache::Stats cache = cache_.stats();
   const uint64_t live = versions_.versions_live();
-  versions_live_gauge_->Set(static_cast<int64_t>(live));
-  // Pinned = live minus the chain head itself (which is always alive).
-  versions_pinned_gauge_->Set(live > 0 ? static_cast<int64_t>(live - 1) : 0);
+  struct ScrapeGauge {
+    const char* name;
+    const char* help;
+    uint64_t value;
+  };
+  const ScrapeGauge gauges[] = {
+      {"magicdb_pending_requests", "Requests submitted but not yet completed",
+       pending_.load(std::memory_order_relaxed)},
+      {"magicdb_answer_cache_entries", "AnswerCache resident entries",
+       cache.entries},
+      {"magicdb_answer_cache_bytes", "AnswerCache resident bytes",
+       cache.bytes},
+      {"magicdb_answer_cache_hits", "AnswerCache lookups that found an entry",
+       cache.hits},
+      {"magicdb_answer_cache_misses", "AnswerCache lookups that found none",
+       cache.misses},
+      {"magicdb_answer_cache_inserts", "Answers stored in the AnswerCache",
+       cache.inserts},
+      {"magicdb_answer_cache_evictions",
+       "AnswerCache entries evicted by the byte budget", cache.evictions},
+      {"magicdb_answer_cache_oversize",
+       "Answers too large for an AnswerCache shard, never stored",
+       cache.rejected_oversize},
+      {"magicdb_db_versions_live",
+       "Database versions alive: the head plus reader-pinned older ones",
+       live},
+      // Pinned = live minus the chain head itself (which is always alive).
+      {"magicdb_db_versions_pinned",
+       "Retired-from-head versions kept alive only by reader pins",
+       live > 0 ? live - 1 : 0},
+      {"magicdb_db_versions_published",
+       "Database versions published, the initial one included",
+       versions_.versions_published()},
+      {"magicdb_db_versions_retired",
+       "Database versions whose last pin dropped",
+       versions_.versions_retired()},
+  };
+  for (const ScrapeGauge& gauge : gauges) {
+    metrics_
+        .GetGauge(gauge.name, {},
+                  std::string(gauge.help) + " (refreshed at scrape)")
+        ->Set(static_cast<int64_t>(gauge.value));
+  }
+}
+
+std::string QueryService::MetricsText() const {
+  RefreshScrapeGauges();
   return metrics_.PrometheusText();
+}
+
+std::string QueryService::MetricsJson() const {
+  RefreshScrapeGauges();
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("metrics").Raw(metrics_.Json());
+  // Only what the registry cannot hold: each form's labels and the rule
+  // texts its `rule` labels index.
+  w.Key("forms").BeginArray();
+  {
+    MutexLock lock(form_mutex_);
+    for (const auto& [key, cached] : forms_) {
+      if (cached.form == nullptr) continue;
+      w.BeginObject();
+      w.Key("form").String(cached.form_label);
+      w.Key("strategy").String(StrategyName(key.strategy));
+      w.Key("sip").String(key.sip);
+      w.Key("rules").BeginArray();
+      for (const std::string& rule : cached.form->rule_labels()) {
+        w.String(rule);
+      }
+      w.EndArray();
+      w.EndObject();
+    }
+  }
+  w.EndArray();
+  w.Key("slow_queries").BeginArray();
+  for (const obs::SlowQuery& slow : slow_log_.Snapshot()) {
+    w.BeginObject();
+    w.Key("form").String(slow.form);
+    w.Key("seed").String(slow.seed);
+    w.Key("total_ns").Uint(slow.total_ns);
+    w.Key("sequence").Uint(slow.sequence);
+    w.Key("spans").BeginArray();
+    for (const obs::Span& span : slow.spans) {
+      w.BeginObject();
+      w.Key("stage").String(obs::StageName(span.stage));
+      w.Key("start_ns").Uint(span.start_ns);
+      w.Key("end_ns").Uint(span.end_ns);
+      w.EndObject();
+    }
+    w.EndArray();
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return w.str();
 }
 
 }  // namespace magic

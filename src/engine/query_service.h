@@ -302,14 +302,17 @@ class QueryService {
   Result<WriteResult> ApplyWrites(const WriteBatch& batch)
       EXCLUDES(commit_mutex_, form_mutex_);
 
-  /// Serving counters, snapshotted from the metrics registry — the ONE
-  /// aggregation path every reporter (magicdb --stats, STATS/METRICS wire
-  /// verbs, benches) reads. Naming contract: `form_cache_hits` counts
-  /// request-tier lookups that found an already-compiled form;
-  /// `answer_cache` holds the raw AnswerCache counters (exact hits/
-  /// misses/evictions/bytes); `answers_from_cache` counts requests
-  /// answered without evaluation, and every such request still counts in
-  /// `queries_served` and its form's FormStats.
+  /// Service-wide serving counters, read from the metrics registry — the
+  /// ONE aggregation path every reporter (magicdb --stats, the STATS/
+  /// METRICS wire verbs, benches) reads. Per-form and per-rule cells are
+  /// not copied here: they live only in the registry, labelled by the
+  /// full form key {form, strategy, sip}, and MetricsJson()/MetricsText()
+  /// render them. Naming contract: `form_cache_hits` counts request-tier
+  /// lookups that found an already-compiled form; `answer_cache` holds
+  /// the raw AnswerCache counters (exact hits/misses/evictions/bytes);
+  /// `answers_from_cache` counts requests answered without evaluation,
+  /// and every such request still counts in `queries_served` and in its
+  /// form's `magicdb_form_queries` cell.
   struct Stats {
     size_t forms_compiled = 0;
     size_t form_cache_hits = 0;
@@ -347,60 +350,24 @@ class QueryService {
     /// The slow-query ring at snapshot time, oldest first.
     std::vector<obs::SlowQuery> slow_queries;
 
-    /// Per-form serving counters, one entry per successfully compiled
-    /// form. `queries` counts instances that produced an answer from the
-    /// form (evaluated or cache-served); requests that never reached it —
-    /// deadline-shed and overloaded ones — are excluded here and appear
-    /// only in the service-wide deadline_shed/overloaded counters, so
-    /// per-form latency/row ratios stay ratios over real answers.
-    struct FormStats {
-      std::string pred;       // predicate name
-      std::string adornment;  // e.g. "bf"
-      std::string strategy;
-      std::string sip;
-      uint64_t queries = 0;    // instances served (evaluated or cached)
-      uint64_t rows = 0;       // answer tuples returned
-      uint64_t truncated = 0;  // instances stopped by a row limit
-      uint64_t eval_micros = 0;  // total evaluation wall time (= sum of
-                                 // eval_latency, for the legacy reporters)
-      /// Per-evaluated-instance latency (ns, fixpoint + extraction).
-      obs::HistogramSnapshot eval_latency;
-      /// Per-inline-cache-hit latency (ns) — the `cache_inline` stage.
-      obs::HistogramSnapshot inline_latency;
-      /// Accumulated fixpoint profile of the form's compiled program:
-      /// one entry per evaluated rule, summed over every instance.
-      std::vector<RuleProfileEntry> profile;
-    };
-    std::vector<FormStats> forms;
-
-    /// Cache-wide aggregation of the per-form counters.
-    struct Totals {
-      uint64_t queries = 0;
-      uint64_t rows = 0;
-      uint64_t truncated = 0;
-      uint64_t eval_micros = 0;
-    };
-    Totals totals() const;
-
     /// One-line human-readable counter summary (magicdb --stats).
     std::string Summary() const;
-
-    /// Comma-separated `"key":value` pairs (no braces) for splicing into
-    /// a JSON record — the benches' reporting path.
-    std::string JsonFragment() const;
-
-    /// The full stats document as one JSON object: the fragment's
-    /// counters plus latency quantiles, per-form histograms/profiles,
-    /// and the slow-query ring (the `STATS json` wire reply).
-    std::string Json() const;
   };
-  Stats stats() const EXCLUDES(form_mutex_);
+  Stats stats() const;
 
   /// Prometheus-style text exposition of every registered instrument
   /// (service counters, latency histograms, per-form and per-rule
-  /// counters), with the scrape-time mirrors (pending depth, answer-cache
-  /// occupancy) refreshed first. The METRICS wire verb serves this.
+  /// counters, embedder instruments), with the scrape-time gauges
+  /// refreshed first. The METRICS wire verb serves this.
   std::string MetricsText() const;
+
+  /// The STATS document (the STATS payload and `METRICS json`), one JSON
+  /// object: `metrics` is the registry walk (MetricsRegistry::Json, after
+  /// the same scrape-time refresh as MetricsText); `forms` lists each
+  /// compiled form's labels {form, strategy, sip} and its rule texts, the
+  /// `rule` label of its `magicdb_rule_*` cells indexing `rules`; and
+  /// `slow_queries` is the slow-query ring, oldest first.
+  std::string MetricsJson() const EXCLUDES(form_mutex_);
 
   /// The service's metrics registry. Exposed so embedders can register
   /// their own instruments into the same scrape (ROADMAP invariant: one
@@ -423,17 +390,6 @@ class QueryService {
     size_t operator()(const FormKey& key) const;
   };
 
-  /// One rule's registry-backed profile counters (instrument pointers are
-  /// stable for the registry's lifetime; workers Add() lock-free).
-  struct RuleCounters {
-    obs::Counter* evals = nullptr;
-    obs::Counter* firings = nullptr;
-    obs::Counter* new_facts = nullptr;
-    obs::Counter* duplicate_facts = nullptr;
-    obs::Counter* join_probes = nullptr;
-    obs::Counter* delta_rows = nullptr;
-  };
-
   /// A compilation outcome. Failures are cached too (they are
   /// deterministic per form key), so a stream of unpreparable requests
   /// pays the compile once, not per request. Lives at a stable address
@@ -443,9 +399,6 @@ class QueryService {
   struct CachedForm {
     std::unique_ptr<PreparedQueryForm> form;  // null when compilation failed
     Status error;
-    std::string pred_name;  // static labels for Stats::FormStats
-    std::string strategy;
-    std::string sip;
     std::string form_label;  // "pred/adornment", the metric `form` label
     obs::Counter* queries = nullptr;
     obs::Counter* rows = nullptr;
@@ -455,9 +408,10 @@ class QueryService {
     /// family, so a scrape separates real fixpoint time from memo serves.
     obs::Histogram* eval_latency = nullptr;
     obs::Histogram* inline_latency = nullptr;
-    /// Indexed like the plan's rule_labels; accumulates every instance's
-    /// per-rule fixpoint profile.
-    std::vector<RuleCounters> rule_counters;
+    /// Per-rule fixpoint profile counters, one per RuleProfile field for
+    /// each of the plan's rule_labels, rule-major; every instance's profile
+    /// accumulates into them.
+    std::vector<obs::Counter*> rule_counters;
   };
 
   using Completion = std::function<void(QueryAnswer)>;
@@ -534,6 +488,12 @@ class QueryService {
   static std::shared_ptr<AnswerCursor::State> MakeStreamState(
       QueryLimits* limits, AnswerSink* sink, Completion* done);
 
+  /// Sets the scrape-time gauges — pending depth, the AnswerCache's
+  /// counters and occupancy, and the version chain's counters — from
+  /// their sources. Both renderers call it first, so a scrape never reads
+  /// a stale mirror; off the hot path, it registers-or-fetches each gauge.
+  void RefreshScrapeGauges() const;
+
   const Program& program_;
   /// ApplyWrites is the only code that writes through it, serialized by
   /// the FIFO commit ticket (pinned snapshot readers need no exclusion —
@@ -588,15 +548,6 @@ class QueryService {
   /// Live queue depth of writers waiting for their commit ticket
   /// (maintained on the write path: +1 on arrival, -1 on redemption).
   obs::Gauge* writes_queued_gauge_ = nullptr;
-  /// Scrape-time mirrors (refreshed by MetricsText/stats, not hot-path).
-  obs::Gauge* pending_gauge_ = nullptr;
-  obs::Gauge* cache_entries_gauge_ = nullptr;
-  obs::Gauge* cache_bytes_gauge_ = nullptr;
-  /// Versions alive (head + reader-pinned) and pinned-only (alive minus
-  /// the head), mirrored at scrape time from the chain's counters.
-  obs::Gauge* versions_live_gauge_ = nullptr;
-  obs::Gauge* versions_pinned_gauge_ = nullptr;
-
   /// Requests submitted but not yet completed (admission-control depth).
   /// Stays a raw atomic: Admit's fetch_add is also the admission check,
   /// which a monotonic counter cannot express.

@@ -374,14 +374,14 @@ bool Session::HandleApply(const std::string& payload) {
 }
 
 bool Session::HandleStats() {
-  QueryService::Stats stats = ctx_->service->stats();
-  return Reply(WireCode::kOk, stats.Summary() + "\n" + stats.Json());
+  return Reply(WireCode::kOk, ctx_->service->stats().Summary() + "\n" +
+                                  ctx_->service->MetricsJson());
 }
 
 bool Session::HandleMetrics(const std::vector<std::string>& args) {
   if (args.size() == 1 && args[0] == "json") {
     return Reply(WireCode::kOk,
-                 "format=json\n" + ctx_->service->stats().Json());
+                 "format=json\n" + ctx_->service->MetricsJson());
   }
   if (!args.empty()) {
     return Reply(WireCode::kInvalidArgument, "usage: METRICS [json]");

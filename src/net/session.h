@@ -67,13 +67,13 @@ struct ServeContext {
 ///       WriteBatch through the live service's write seam. Response:
 ///       `Ok inserted=<n> retracted=<n> cleared=<n> mutated=<n>`.
 ///   STATS
-///       `Ok <summary>` plus one JSON line: the full stats document
-///       (service counters, latency histogram quantiles, per-form
-///       histograms and fixpoint profiles, the slow-query ring).
+///       `Ok <summary>` plus one JSON line: the STATS document
+///       (QueryService::MetricsJson — the registry walk, each form's
+///       labels and rule texts, the slow-query ring).
 ///   METRICS [json]
 ///       `Ok format=prometheus` followed by the Prometheus text
 ///       exposition of every registered instrument (scrape surface), or
-///       with `json` the same stats JSON document STATS carries.
+///       with `json` the same STATS document STATS carries.
 ///   CLOSE
 ///       `Ok bye`, then the server closes the connection.
 ///

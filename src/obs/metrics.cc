@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/json_writer.h"
+
 namespace magic {
 namespace obs {
 
@@ -114,21 +116,17 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(
     const std::string& name, const Labels& labels, MetricKind kind,
     const std::string& help) {
   MutexLock lock(mutex_);
-  const std::string key = EntryKey(name, labels);
-  if (auto it = index_.find(key); it != index_.end()) {
-    Entry* entry = entries_[it->second].get();
-    if (entry->kind != kind) {
-      std::fprintf(stderr,
-                   "obs: metric \"%s\" registered with two kinds\n",
-                   name.c_str());
-      std::abort();
-    }
-    return entry;
+  Family& family = families_.try_emplace(name, Family{kind, help, {}})
+                       .first->second;
+  if (family.kind != kind) {
+    std::fprintf(stderr, "obs: metric \"%s\" registered with two kinds\n",
+                 name.c_str());
+    std::abort();
   }
+  const std::string key = EntryKey(name, labels);
+  if (auto it = index_.find(key); it != index_.end()) return it->second;
   auto entry = std::make_unique<Entry>();
-  entry->name = name;
   entry->labels = labels;
-  entry->kind = kind;
   switch (kind) {
     case MetricKind::kCounter:
       entry->counter = std::make_unique<Counter>();
@@ -141,14 +139,8 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(
       break;
   }
   Entry* raw = entry.get();
-  index_.emplace(key, entries_.size());
-  entries_.push_back(std::move(entry));
-  auto [it, inserted] = help_.try_emplace(name, kind, help);
-  if (!inserted && it->second.first != kind) {
-    std::fprintf(stderr, "obs: metric \"%s\" registered with two kinds\n",
-                 name.c_str());
-    std::abort();
-  }
+  index_.emplace(key, raw);
+  family.entries.push_back(std::move(entry));
   return raw;
 }
 
@@ -170,33 +162,43 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
       ->histogram.get();
 }
 
+namespace {
+
+const char* KindName(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kCounter:
+      return "counter";
+    case MetricKind::kGauge:
+      return "gauge";
+    case MetricKind::kHistogram:
+      return "histogram";
+  }
+  return "?";
+}
+
+/// A histogram cell's JSON members, written into the caller's open object.
+void WriteHistogramJson(const HistogramSnapshot& h, JsonWriter& w) {
+  w.Key("count").Uint(h.count);
+  w.Key("sum_ns").Uint(h.sum);
+  w.Key("p50_ns").Double(h.Quantile(0.5));
+  w.Key("p95_ns").Double(h.Quantile(0.95));
+  w.Key("p99_ns").Double(h.Quantile(0.99));
+}
+
+}  // namespace
+
 std::string MetricsRegistry::PrometheusText() const {
   MutexLock lock(mutex_);
   std::string out;
   char line[160];
-  // One `# HELP`/`# TYPE` block per metric name, instruments grouped under
-  // it in registration order (help_ is name-ordered, entries_ preserves
-  // registration order within a name).
-  for (const auto& [name, kind_help] : help_) {
-    const auto& [kind, help] = kind_help;
-    if (!help.empty()) {
-      out += "# HELP " + name + " " + help + "\n";
+  // One `# HELP`/`# TYPE` block per metric name, its instruments under it.
+  for (const auto& [name, family] : families_) {
+    if (!family.help.empty()) {
+      out += "# HELP " + name + " " + family.help + "\n";
     }
-    out += "# TYPE " + name + " ";
-    switch (kind) {
-      case MetricKind::kCounter:
-        out += "counter\n";
-        break;
-      case MetricKind::kGauge:
-        out += "gauge\n";
-        break;
-      case MetricKind::kHistogram:
-        out += "histogram\n";
-        break;
-    }
-    for (const auto& entry : entries_) {
-      if (entry->name != name) continue;
-      switch (entry->kind) {
+    out += "# TYPE " + name + " " + KindName(family.kind) + "\n";
+    for (const auto& entry : family.entries) {
+      switch (family.kind) {
         case MetricKind::kCounter: {
           std::snprintf(line, sizeof(line), " %" PRIu64 "\n",
                         entry->counter->value());
@@ -244,6 +246,42 @@ std::string MetricsRegistry::PrometheusText() const {
     }
   }
   return out;
+}
+
+std::string MetricsRegistry::Json() const {
+  MutexLock lock(mutex_);
+  JsonWriter w;
+  w.BeginObject();
+  for (const auto& [name, family] : families_) {
+    w.Key(name).BeginObject();
+    w.Key("type").String(KindName(family.kind));
+    w.Key("help").String(family.help);
+    w.Key("cells").BeginArray();
+    for (const auto& entry : family.entries) {
+      w.BeginObject();
+      w.Key("labels").BeginObject();
+      for (const auto& [label, value] : entry->labels) {
+        w.Key(label).String(value);
+      }
+      w.EndObject();
+      switch (family.kind) {
+        case MetricKind::kCounter:
+          w.Key("value").Uint(entry->counter->value());
+          break;
+        case MetricKind::kGauge:
+          w.Key("value").Int(entry->gauge->value());
+          break;
+        case MetricKind::kHistogram:
+          WriteHistogramJson(entry->histogram->Snapshot(), w);
+          break;
+      }
+      w.EndObject();
+    }
+    w.EndArray();
+    w.EndObject();
+  }
+  w.EndObject();
+  return w.str();
 }
 
 }  // namespace obs

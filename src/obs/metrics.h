@@ -19,8 +19,9 @@ namespace obs {
 
 /// The one metrics surface. Every subsystem that wants a counter, gauge,
 /// or latency histogram registers it here (ROADMAP invariant: there is ONE
-/// aggregation path), and the registry renders the whole set as
-/// Prometheus-style text exposition for the METRICS wire verb.
+/// aggregation path), and the registry renders the whole set two ways:
+/// Prometheus-style text exposition for the METRICS wire verb, and one
+/// JSON object for STATS and `METRICS json`.
 ///
 /// Cost model — the reason this can stay on in production:
 ///   * Record/Add/Set are lock-free: relaxed atomic RMWs on pre-registered
@@ -161,14 +162,28 @@ class MetricsRegistry {
   /// plus the mandatory `+Inf`) with `_sum` and `_count`.
   std::string PrometheusText() const EXCLUDES(mutex_);
 
+  /// The same instruments, grouping and order as PrometheusText(), as one
+  /// JSON object keyed by metric name:
+  /// `{"name":{"type":...,"help":...,"cells":[{"labels":{...},...}]}}`.
+  /// A counter or gauge cell carries `value`; a histogram cell carries
+  /// `count`, `sum_ns`, `p50_ns`, `p95_ns` and `p99_ns`.
+  std::string Json() const EXCLUDES(mutex_);
+
  private:
+  /// One labelled instrument; exactly one pointer is set, by its family's
+  /// kind.
   struct Entry {
-    std::string name;
     Labels labels;
-    MetricKind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
+  };
+  /// Every instrument of one metric name. unique_ptr entries so addresses
+  /// survive vector growth; registration order is render order.
+  struct Family {
+    MetricKind kind;
+    std::string help;
+    std::vector<std::unique_ptr<Entry>> entries;
   };
 
   Entry* FindOrCreate(const std::string& name, const Labels& labels,
@@ -180,11 +195,9 @@ class MetricsRegistry {
                                   const std::string& extra = std::string());
 
   mutable Mutex mutex_{lock_rank::kMetrics};
-  /// unique_ptr entries so addresses survive vector growth.
-  std::vector<std::unique_ptr<Entry>> entries_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, size_t> index_ GUARDED_BY(mutex_);
-  std::map<std::string, std::pair<MetricKind, std::string>> help_
-      GUARDED_BY(mutex_);  // name -> (kind, help), ordered for rendering
+  /// Name-ordered, so both renderers walk the families in one order.
+  std::map<std::string, Family> families_ GUARDED_BY(mutex_);
+  std::unordered_map<std::string, Entry*> index_ GUARDED_BY(mutex_);
 };
 
 /// Knobs for the optional (latency/trace) half of observability. Counters

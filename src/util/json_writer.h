@@ -50,18 +50,15 @@ inline std::string JsonEscape(std::string_view text) {
 
 /// Minimal append-only JSON builder: automatic comma insertion, proper
 /// string escaping, no intermediate tree. This is the one serializer
-/// behind Stats::JsonFragment / Stats::Json and the bench output — the
-/// hand-rolled printf splicing it replaced produced invalid JSON the
-/// moment a form name contained a quote.
+/// behind MetricsRegistry::Json and the STATS document that embeds it
+/// (QueryService::MetricsJson) — the hand-rolled printf splicing it
+/// replaced produced invalid JSON the moment a form name contained a
+/// quote.
 ///
 /// Usage is push-down: Begin/End pairs must nest correctly and every
 /// object member starts with Key(). The writer does not validate nesting
 /// (it is an internal tool, misuse is a bug caught by the JSON parsers in
 /// CI), it only tracks where commas go.
-///
-/// Fragment mode: a writer used without an outer BeginObject emits
-/// `"k":v,"k2":v2` pairs — the historical JsonFragment contract, spliced
-/// into a caller-provided object.
 class JsonWriter {
  public:
   JsonWriter() { stack_.push_back(false); }
@@ -135,6 +132,12 @@ class JsonWriter {
   JsonWriter& Bool(bool value) {
     Comma();
     out_ += value ? "true" : "false";
+    return *this;
+  }
+  /// A value already rendered as JSON by another writer, spliced verbatim.
+  JsonWriter& Raw(std::string_view json) {
+    Comma();
+    out_ += json;
     return *this;
   }
 

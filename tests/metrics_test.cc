@@ -1,18 +1,21 @@
 // The metrics registry: HDR-style histogram bucket boundaries and
 // quantiles, snapshot-merge associativity, register-or-fetch semantics,
 // Prometheus text exposition shapes, the 8-thread lock-free hammer
-// (TSan-clean by construction: Record/Add are relaxed atomic RMWs), and
-// the end-to-end service wiring — per-form latency histograms, per-rule
-// fixpoint profile counters, and the slow-query ring all reading from the
-// ONE registry that METRICS scrapes.
+// (TSan-clean by construction: Record/Add are relaxed atomic RMWs), the
+// JSON walk beside the Prometheus text, and the end-to-end service wiring —
+// per-form latency histograms, per-rule fixpoint profile counters labelled
+// by the full form key, and the slow-query ring all reading from the ONE
+// registry that METRICS and STATS render.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/prepared.h"
 #include "engine/query_service.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -171,6 +174,11 @@ TEST(MetricsRegistryTest, LabelValuesAreEscaped) {
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("esc_total{q=\"a\\\"b\\\\c\\nd\"} 1"),
             std::string::npos);
+  // JSON string escapes of the same three characters.
+  const std::string json = registry.Json();
+  EXPECT_NE(json.find("{\"labels\":{\"q\":\"a\\\"b\\\\c\\nd\"},\"value\":1}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(MetricsRegistryTest, EightThreadHammer) {
@@ -181,6 +189,18 @@ TEST(MetricsRegistryTest, EightThreadHammer) {
   MetricsRegistry registry;
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 50000;
+  // A reader renders the JSON walk while the writers run: it takes the
+  // registry mutex the writers' re-registrations take, and reads the cells
+  // they Add/Record to.
+  std::atomic<bool> writers_done{false};
+  std::thread reader([&registry, &writers_done] {
+    while (!writers_done.load(std::memory_order_relaxed)) {
+      const std::string json = registry.Json();
+      ASSERT_FALSE(json.empty());
+      ASSERT_EQ(json.front(), '{');
+      ASSERT_EQ(json.back(), '}');
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -198,6 +218,8 @@ TEST(MetricsRegistryTest, EightThreadHammer) {
     });
   }
   for (std::thread& t : threads) t.join();
+  writers_done.store(true, std::memory_order_relaxed);
+  reader.join();
   EXPECT_EQ(registry.GetCounter("hammer_events")->value(),
             kThreads * kPerThread);
   HistogramSnapshot snap = registry.GetHistogram("hammer_ns")->Snapshot();
@@ -211,6 +233,67 @@ Query InstanceAt(const Workload& w, const std::string& node) {
   Query query = w.query;
   query.goal.args[0] = w.universe->Constant(node);
   return query;
+}
+
+/// The labels of one cell of `w.query`'s `anc/bf` form under the form key
+/// (strategy, sip), plus `extra`.
+MetricsRegistry::Labels FormLabels(Strategy strategy, const std::string& sip,
+                                   const MetricsRegistry::Labels& extra = {}) {
+  MetricsRegistry::Labels labels{
+      {"form", "anc/bf"}, {"strategy", StrategyName(strategy)}, {"sip", sip}};
+  labels.insert(labels.end(), extra.begin(), extra.end());
+  return labels;
+}
+
+/// Reads the per-form and per-rule cells of one form key from `service`'s
+/// registry. The rule count comes from compiling the same form again.
+struct FormCells {
+  uint64_t queries = 0;
+  uint64_t rows = 0;
+  uint64_t eval_count = 0;
+  uint64_t inline_count = 0;
+  uint64_t rule_evals = 0;
+  uint64_t rule_firings = 0;
+};
+
+FormCells ReadFormCells(QueryService& service, const Workload& w,
+                        Strategy strategy, const std::string& sip) {
+  MetricsRegistry& registry = service.metrics();
+  FormCells cells;
+  cells.queries =
+      registry.GetCounter("magicdb_form_queries", FormLabels(strategy, sip))
+          ->value();
+  cells.rows =
+      registry.GetCounter("magicdb_form_rows", FormLabels(strategy, sip))
+          ->value();
+  cells.eval_count = registry
+                         .GetHistogram("magicdb_form_latency_ns",
+                                       FormLabels(strategy, sip,
+                                                  {{"stage", "eval"}}))
+                         ->Snapshot()
+                         .count;
+  cells.inline_count =
+      registry
+          .GetHistogram("magicdb_form_latency_ns",
+                        FormLabels(strategy, sip, {{"stage", "cache_inline"}}))
+          ->Snapshot()
+          .count;
+  EngineOptions engine;
+  engine.strategy = strategy;
+  engine.sip = sip;
+  Result<PreparedQueryForm> form =
+      PreparedQueryForm::Prepare(w.program, w.query, engine);
+  EXPECT_TRUE(form.ok()) << form.status().ToString();
+  if (!form.ok()) return cells;
+  for (size_t i = 0; i < form->rule_labels().size(); ++i) {
+    const MetricsRegistry::Labels rule =
+        FormLabels(strategy, sip, {{"rule", std::to_string(i)}});
+    cells.rule_evals +=
+        registry.GetCounter("magicdb_rule_evals", rule)->value();
+    cells.rule_firings +=
+        registry.GetCounter("magicdb_rule_firings", rule)->value();
+  }
+  return cells;
 }
 
 TEST(MetricsServiceTest, EndToEndObservability) {
@@ -236,23 +319,16 @@ TEST(MetricsServiceTest, EndToEndObservability) {
   EXPECT_EQ(stats.request_latency.count, 2u);
   EXPECT_GT(stats.request_latency.sum, 0u);
 
-  ASSERT_EQ(stats.forms.size(), 1u);
-  const QueryService::Stats::FormStats& form = stats.forms[0];
+  EXPECT_EQ(stats.forms_compiled, 1u);
+  const FormCells form =
+      ReadFormCells(service, w, Strategy::kSupplementaryMagic, "full");
   EXPECT_EQ(form.queries, 2u);
-  EXPECT_EQ(form.eval_latency.count, 1u);    // the cold evaluation
-  EXPECT_EQ(form.inline_latency.count, 1u);  // the warm cache_inline serve
-  EXPECT_EQ(form.eval_micros, form.eval_latency.sum / 1000);
+  EXPECT_EQ(form.eval_count, 1u);    // the cold evaluation
+  EXPECT_EQ(form.inline_count, 1u);  // the warm cache_inline serve
 
   // The fixpoint profile accumulated per-rule counters for the one run.
-  ASSERT_FALSE(form.profile.empty());
-  uint64_t evals = 0, firings = 0;
-  for (const RuleProfileEntry& entry : form.profile) {
-    EXPECT_FALSE(entry.rule.empty());
-    evals += entry.counts.evals;
-    firings += entry.counts.firings;
-  }
-  EXPECT_GT(evals, 0u);
-  EXPECT_GT(firings, 0u);
+  EXPECT_GT(form.rule_evals, 0u);
+  EXPECT_GT(form.rule_firings, 0u);
 
   // slow_query_ns = 0: the evaluated request landed in the ring with its
   // spans (the inline hit allocates no trace and never reaches the ring).
@@ -277,14 +353,80 @@ TEST(MetricsServiceTest, EndToEndObservability) {
   EXPECT_NE(text.find("magicdb_request_latency_ns_count 2"),
             std::string::npos);
 
-  // The JSON document is one object and carries the histogram + profile.
-  const std::string json = stats.Json();
+  // The STATS document is one object: the registry walk (histograms and
+  // per-rule cells), the forms with their rule texts, and the slow ring.
+  const std::string json = service.MetricsJson();
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"request_latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"profile\""), std::string::npos);
+  EXPECT_NE(json.find("\"magicdb_request_latency_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"magicdb_rule_evals\""), std::string::npos);
+  EXPECT_NE(json.find("\"forms\":[{\"form\":\"anc/bf\",\"strategy\":\"gsms\","
+                      "\"sip\":\"full\",\"rules\":[\""),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"slow_queries\""), std::string::npos);
+}
+
+TEST(MetricsServiceTest, PerFormCellsCarryTheFullFormKey) {
+  // anc/bf evaluated once under gms/full, and only prepared under gsms/full
+  // and gms/chain: each form key owns its cells, so the two prepared forms
+  // read zero everywhere.
+  Workload w = MakeAncestorChain(16);
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(w.program, w.db, options);
+
+  QueryRequest request;
+  request.query = w.query;
+  request.strategy = Strategy::kMagic;
+  request.sip = "full";
+  ASSERT_TRUE(service.Answer(request).status.ok());
+  request.strategy = Strategy::kSupplementaryMagic;
+  ASSERT_TRUE(service.Prepare(request).ok());
+  request.strategy = Strategy::kMagic;
+  request.sip = "chain";
+  ASSERT_TRUE(service.Prepare(request).ok());
+  ASSERT_EQ(service.stats().forms_compiled, 3u);
+
+  const FormCells served = ReadFormCells(service, w, Strategy::kMagic, "full");
+  EXPECT_EQ(served.queries, 1u);
+  EXPECT_EQ(served.rows, 15u);
+  EXPECT_EQ(served.eval_count, 1u);
+  EXPECT_GT(served.rule_evals, 0u);
+  for (const auto& [strategy, sip] :
+       {std::pair{Strategy::kSupplementaryMagic, "full"},
+        std::pair{Strategy::kMagic, "chain"}}) {
+    SCOPED_TRACE(StrategyName(strategy) + "/" + sip);
+    const FormCells idle = ReadFormCells(service, w, strategy, sip);
+    EXPECT_EQ(idle.queries, 0u);
+    EXPECT_EQ(idle.rows, 0u);
+    EXPECT_EQ(idle.eval_count, 0u);
+    EXPECT_EQ(idle.inline_count, 0u);
+    EXPECT_EQ(idle.rule_evals, 0u);
+    EXPECT_EQ(idle.rule_firings, 0u);
+  }
+}
+
+TEST(MetricsServiceTest, EmbedderInstrumentsReachStatsAndMetrics) {
+  // One registry, one aggregation path: an instrument an embedder registers
+  // through metrics() shows up in both renderings of it.
+  Workload w = MakeAncestorChain(4);
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(w.program, w.db, options);
+  service.metrics()
+      .GetCounter("embedder_widgets", {{"kind", "blue"}}, "Widgets made")
+      ->Add(7);
+
+  EXPECT_NE(
+      service.MetricsText().find("embedder_widgets_total{kind=\"blue\"} 7"),
+      std::string::npos);
+  EXPECT_NE(service.MetricsJson().find(
+                "\"embedder_widgets\":{\"type\":\"counter\",\"help\":"
+                "\"Widgets made\",\"cells\":[{\"labels\":{\"kind\":"
+                "\"blue\"},\"value\":7}]}"),
+            std::string::npos);
 }
 
 TEST(MetricsServiceTest, WritePublishIsAHistogram) {

@@ -233,12 +233,17 @@ TEST_F(NetServerTest, PrepareQueryStreamApplyStatsCloseRoundTrip) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->lines.size(), 9u);
 
-  // STATS carries the shared Summary line plus the JSON fragment.
+  // STATS carries the shared Summary line plus the STATS document, which
+  // METRICS json returns unchanged.
   auto stats = client.Call("STATS");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->code, WireCode::kOk);
   ASSERT_EQ(stats->lines.size(), 1u);
   EXPECT_EQ(stats->lines[0].front(), '{');
+  auto metrics_json = client.Call("METRICS json");
+  ASSERT_TRUE(metrics_json.ok());
+  ASSERT_EQ(metrics_json->lines.size(), 1u);
+  EXPECT_EQ(metrics_json->lines[0], stats->lines[0]);
 
   // CLOSE answers then hangs up.
   auto bye = client.Call("CLOSE");

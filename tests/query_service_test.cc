@@ -21,6 +21,15 @@
 namespace magic {
 namespace {
 
+/// One per-form counter of the `anc/bf` form under the default gsms/full
+/// key, read from the service's registry.
+uint64_t FormCell(QueryService& service, const std::string& name) {
+  return service.metrics()
+      .GetCounter(name,
+                  {{"form", "anc/bf"}, {"strategy", "gsms"}, {"sip", "full"}})
+      ->value();
+}
+
 /// Every strategy PreparedQueryForm accepts, i.e. everything QueryService
 /// can serve for derived-predicate queries.
 const Strategy kPreparableStrategies[] = {
@@ -250,7 +259,7 @@ TEST(QueryServiceTest, BasePredicateQueriesAreDirectSelections) {
 
 TEST(QueryServiceTest, ServesNonRewritingStrategiesAsPreparedForms) {
   // naive/seminaive/topdown compile to plans like everything else and are
-  // served under the shared lock — no exclusive fallback path exists.
+  // served against pinned snapshots — no exclusive fallback path exists.
   // Interleaved here with rewriting-strategy requests on the same pool.
   Workload w = MakeAncestorChain(16);
   QueryServiceOptions options;
@@ -407,13 +416,10 @@ TEST(QueryServiceTest, RowLimitStopsEvaluationEarly) {
   EXPECT_EQ(seven.tuples.size(), 7u);
   EXPECT_EQ(seven.outcome, AnswerStatus::kTruncated);
 
-  QueryService::Stats stats = service.stats();
-  ASSERT_EQ(stats.forms.size(), 1u);
-  EXPECT_EQ(stats.forms[0].pred, "anc");
-  EXPECT_EQ(stats.forms[0].adornment, "bf");
-  EXPECT_EQ(stats.forms[0].queries, 3u);
-  EXPECT_EQ(stats.forms[0].truncated, 2u);
-  EXPECT_EQ(stats.forms[0].rows, 299u + 1u + 7u);
+  EXPECT_EQ(service.stats().forms_compiled, 1u);
+  EXPECT_EQ(FormCell(service, "magicdb_form_queries"), 3u);
+  EXPECT_EQ(FormCell(service, "magicdb_form_truncated"), 2u);
+  EXPECT_EQ(FormCell(service, "magicdb_form_rows"), 299u + 1u + 7u);
 }
 
 TEST(QueryServiceTest, DeadlineExpiryReportsDeadlineExceeded) {
@@ -685,10 +691,8 @@ TEST(QueryServiceTest, HandleReuseHammerAcrossEightThreads) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(failures[c], 0) << "client " << c;
   }
-  QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.forms_compiled, 1u);
-  ASSERT_EQ(stats.forms.size(), 1u);
-  EXPECT_EQ(stats.forms[0].queries,
+  EXPECT_EQ(service.stats().forms_compiled, 1u);
+  EXPECT_EQ(FormCell(service, "magicdb_form_queries"),
             24u + static_cast<size_t>(kClients) * kQueriesPerClient);
 }
 
@@ -734,9 +738,9 @@ TEST(QueryServiceTest, RepeatedSeedServesFromAnswerCache) {
   EXPECT_GT(stats.answer_cache.bytes, 0u);
   // Cached serves still count as served, per form and service-wide.
   EXPECT_EQ(stats.queries_served, 3u);
-  ASSERT_EQ(stats.forms.size(), 1u);
-  EXPECT_EQ(stats.forms[0].queries, 3u);
-  EXPECT_EQ(stats.forms[0].rows, 15u + 15u + 4u);
+  EXPECT_EQ(stats.forms_compiled, 1u);
+  EXPECT_EQ(FormCell(service, "magicdb_form_queries"), 3u);
+  EXPECT_EQ(FormCell(service, "magicdb_form_rows"), 15u + 15u + 4u);
 }
 
 TEST(QueryServiceTest, ColdAndWarmAnswersShareTheStrategyName) {
@@ -1391,8 +1395,8 @@ TEST(QueryServiceTest, ArityTwoHitWithLargeIdsMatchesTheEvaluatedAnswer) {
 
 TEST(QueryServiceTest, MixedStrategyHammerAcrossEightThreads) {
   // The issue's parallel non-rewriting bar: magic + seminaive + topdown
-  // handles hammered on one shared service from 8 client threads, all
-  // under the shared lock (the exclusive fallback is gone), with answer
+  // handles hammered on one shared service from 8 client threads, each
+  // request holding only its version pin (no exclusive fallback), with answer
   // equivalence against single-threaded engine runs. Must stay TSan-clean.
   Workload w = MakeAncestorChain(18);
   Universe& u = *w.universe;

@@ -16,6 +16,7 @@
 namespace magic {
 namespace {
 
+using obs::MetricsRegistry;
 using obs::SlowQuery;
 using obs::SlowQueryLog;
 using obs::Span;
@@ -86,6 +87,15 @@ TEST(SlowQueryLogTest, ZeroCapacityRecordsNothing) {
   EXPECT_TRUE(log.Snapshot().empty());
 }
 
+/// The labels of one cell of the `anc/bf` form under the default gsms/full
+/// key, plus `extra`.
+MetricsRegistry::Labels FormLabels(const MetricsRegistry::Labels& extra = {}) {
+  MetricsRegistry::Labels labels{
+      {"form", "anc/bf"}, {"strategy", "gsms"}, {"sip", "full"}};
+  labels.insert(labels.end(), extra.begin(), extra.end());
+  return labels;
+}
+
 Query InstanceAt(const Workload& w, const std::string& node) {
   Query query = w.query;
   query.goal.args[0] = w.universe->Constant(node);
@@ -111,17 +121,32 @@ TEST(TraceServiceTest, DisabledModeRecordsNothing) {
   // Counters and profiles are always on...
   EXPECT_EQ(stats.queries_served, 2u);
   EXPECT_EQ(stats.answers_from_cache, 1u);
-  ASSERT_EQ(stats.forms.size(), 1u);
-  EXPECT_EQ(stats.forms[0].queries, 2u);
-  EXPECT_FALSE(stats.forms[0].profile.empty());
+  EXPECT_EQ(stats.forms_compiled, 1u);
+  MetricsRegistry& registry = service.metrics();
+  EXPECT_EQ(registry.GetCounter("magicdb_form_queries", FormLabels())->value(),
+            2u);
+  EXPECT_GT(registry
+                .GetCounter("magicdb_rule_evals", FormLabels({{"rule", "0"}}))
+                ->value(),
+            0u);
   // ...but nothing paid a clock read: no request latency, no inline-hit
   // latency, and no slow-query captures (no trace was ever allocated).
   EXPECT_EQ(stats.request_latency.count, 0u);
-  EXPECT_EQ(stats.forms[0].inline_latency.count, 0u);
+  EXPECT_EQ(registry
+                .GetHistogram("magicdb_form_latency_ns",
+                              FormLabels({{"stage", "cache_inline"}}))
+                ->Snapshot()
+                .count,
+            0u);
   EXPECT_TRUE(stats.slow_queries.empty());
   // Evaluation wall time still accumulates: it predates observability and
-  // feeds the legacy eval_micros reporters whether or not obs is on.
-  EXPECT_EQ(stats.forms[0].eval_latency.count, 1u);
+  // is recorded whether or not obs is on.
+  EXPECT_EQ(registry
+                .GetHistogram("magicdb_form_latency_ns",
+                              FormLabels({{"stage", "eval"}}))
+                ->Snapshot()
+                .count,
+            1u);
 }
 
 TEST(TraceServiceTest, SlowRingRespectsConfiguredCapacity) {

@@ -18,8 +18,8 @@
 //                                     stdin as ONE atomic APPLY
 //   stats                             server-side serving statistics
 //   metrics [json]                    scrape the metrics registry:
-//                                     Prometheus text exposition, or the
-//                                     full stats JSON document with `json`
+//                                     Prometheus text exposition, or
+//                                     the STATS JSON document with `json`
 //   raw WORD...                       send the words verbatim (testing)
 //
 // Every response's head line prints to stderr (it carries the wire code
