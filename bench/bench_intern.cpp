@@ -9,6 +9,10 @@
 //     per new and per repeat intern, and bytes per constant as the
 //     process's resident set growth (VmRSS in /proc/self/status) over the
 //     fresh pass.
+//   * intern_kinds: kConstants integers interned through Universe::Integer,
+//     then as many arity-2 compounds f(i, i + 1) over them. Resident bytes
+//     per integer and per compound, each over its own pass (the compounds'
+//     bytes exclude their integer children).
 //   * index_build: the first-column index of an arity-2 relation of kRows
 //     rows over kKeys keys (uniform random, like perfbench's DAG), built
 //     two ways: from scratch on the first probe, and extended row by row
@@ -90,6 +94,35 @@ void BenchIntern(size_t constants) {
           static_cast<double>(constants));
 }
 
+void BenchInternKinds(size_t terms) {
+  Universe u;
+  const SymbolId functor = u.Sym("f");
+  std::vector<TermId> integers;
+  integers.reserve(terms + 1);
+
+  const int64_t rss_before = ResidentBytes();
+  for (size_t i = 0; i <= terms; ++i) {
+    integers.push_back(u.Integer(static_cast<int64_t>(i)));
+  }
+  const int64_t rss_integers = ResidentBytes();
+  for (size_t i = 0; i < terms; ++i) {
+    u.terms().MakeCompound(functor, {integers[i], integers[i + 1]});
+  }
+  const int64_t rss_compounds = ResidentBytes();
+  if (u.terms().size() != 2 * terms + 1) {
+    std::fprintf(stderr, "bench_intern: a fresh term was deduplicated\n");
+    std::exit(1);
+  }
+  std::printf(
+      "{\"bench\":\"intern_kinds\",\"terms\":%zu,"
+      "\"bytes_per_integer\":%.1f,\"bytes_per_compound2\":%.1f}\n",
+      terms,
+      static_cast<double>(rss_integers - rss_before) /
+          static_cast<double>(terms + 1),
+      static_cast<double>(rss_compounds - rss_integers) /
+          static_cast<double>(terms));
+}
+
 /// One first-column index build over `rel`'s rows; `prepare` runs before
 /// the clock starts and `build` is what it times.
 template <typename Prepare, typename Build>
@@ -146,6 +179,7 @@ void BenchIndexBuild(size_t rows, uint32_t keys) {
 
 int main() {
   magic::BenchIntern(magic::kConstants);
+  magic::BenchInternKinds(magic::kConstants);
   magic::BenchIndexBuild(magic::kRows, magic::kKeys);
   return 0;
 }

@@ -6,7 +6,7 @@ namespace {
 
 void Accumulate(const Universe& u, TermId term, int64_t sign,
                 LengthExpr* expr) {
-  const TermData& data = u.terms().Get(term);
+  const TermView data = u.terms().Get(term);
   switch (data.kind) {
     case TermKind::kConstant:
     case TermKind::kInteger:

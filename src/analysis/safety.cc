@@ -8,7 +8,7 @@ namespace magic {
 namespace {
 
 bool TermHasFunctionSymbol(const Universe& u, TermId term) {
-  const TermData& data = u.terms().Get(term);
+  const TermView data = u.terms().Get(term);
   if (data.kind == TermKind::kCompound) return true;
   for (TermId child : data.children) {
     if (TermHasFunctionSymbol(u, child)) return true;

@@ -311,8 +311,7 @@ class Parser {
           MAGIC_RETURN_IF_ERROR(Advance());
         }
         MAGIC_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
-        return universe_->terms().MakeCompound(universe_->Sym(name),
-                                               std::move(args));
+        return universe_->terms().MakeCompound(universe_->Sym(name), args);
       }
       case TokKind::kLBracket: {
         MAGIC_RETURN_IF_ERROR(Advance());

@@ -10,7 +10,7 @@ using RenameMap = std::map<SymbolId, std::string>;
 
 void PrintTerm(const Universe& u, TermId id, const RenameMap* renames,
                std::string* out) {
-  const TermData& data = u.terms().Get(id);
+  const TermView data = u.terms().Get(id);
   switch (data.kind) {
     case TermKind::kConstant:
       out->append(u.symbols().Name(data.symbol));
@@ -48,7 +48,7 @@ void PrintTerm(const Universe& u, TermId id, const RenameMap* renames,
         TermId node = id;
         bool first = true;
         while (true) {
-          const TermData& cell = u.terms().Get(node);
+          const TermView cell = u.terms().Get(node);
           if (cell.kind == TermKind::kCompound &&
               u.symbols().Name(cell.symbol) == "." &&
               cell.children.size() == 2) {

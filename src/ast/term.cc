@@ -8,74 +8,67 @@
 namespace magic {
 
 TermId TermArena::MakeConstant(SymbolId name) {
-  TermData data;
-  data.kind = TermKind::kConstant;
-  data.ground = true;
-  data.symbol = name;
-  return Intern(std::move(data));
+  TermView term;
+  term.kind = TermKind::kConstant;
+  term.ground = true;
+  term.symbol = name;
+  return Intern(term);
 }
 
 TermId TermArena::MakeInteger(int64_t value) {
-  TermData data;
-  data.kind = TermKind::kInteger;
-  data.ground = true;
-  data.value = value;
-  return Intern(std::move(data));
+  TermView term;
+  term.kind = TermKind::kInteger;
+  term.ground = true;
+  term.value = value;
+  return Intern(term);
 }
 
 TermId TermArena::MakeVariable(SymbolId name) {
-  TermData data;
-  data.kind = TermKind::kVariable;
-  data.ground = false;
-  data.symbol = name;
-  return Intern(std::move(data));
+  TermView term;
+  term.kind = TermKind::kVariable;
+  term.ground = false;
+  term.symbol = name;
+  return Intern(term);
 }
 
-TermId TermArena::MakeCompound(SymbolId functor, std::vector<TermId> args) {
-  TermData data;
-  data.kind = TermKind::kCompound;
-  data.symbol = functor;
-  data.ground = true;
+TermId TermArena::MakeCompound(SymbolId functor,
+                               const std::vector<TermId>& args) {
+  TermView term;
+  term.kind = TermKind::kCompound;
+  term.symbol = functor;
+  term.ground = true;
   for (TermId arg : args) {
-    data.ground = data.ground && Get(arg).ground;
+    term.ground = term.ground && IsGround(arg);
   }
-  data.children = std::move(args);
-  return Intern(std::move(data));
+  term.children = args;
+  return Intern(term);
 }
 
 TermId TermArena::MakeAffine(TermId variable, int64_t mul, int64_t add) {
   MAGIC_CHECK_MSG(mul >= 1, "affine multiplier must be positive");
   MAGIC_CHECK(Get(variable).kind == TermKind::kVariable);
-  TermData data;
-  data.kind = TermKind::kAffine;
-  data.ground = false;
-  data.mul = mul;
-  data.add = add;
-  data.children = {variable};
-  return Intern(std::move(data));
-}
-
-const TermData& TermArena::Get(TermId id) const {
-  MAGIC_CHECK(id < size());
-  // The acquire load of size_ above synchronizes with the release store in
-  // Intern, so both the directory entry and the slot contents are visible.
-  const ChunkDir* dir = dir_.load(std::memory_order_acquire);
-  return dir->chunks[id >> kChunkShift][id & kChunkMask];
+  TermView term;
+  term.kind = TermKind::kAffine;
+  term.ground = false;
+  term.mul = mul;
+  term.add = add;
+  term.children = {&variable, 1};
+  return Intern(term);
 }
 
 void TermArena::AppendVariables(TermId id, std::vector<SymbolId>* out) const {
-  const TermData& data = Get(id);
-  if (data.ground) return;
-  switch (data.kind) {
+  const TermView term = Get(id);
+  if (term.ground) return;
+  switch (term.kind) {
     case TermKind::kVariable: {
-      if (std::find(out->begin(), out->end(), data.symbol) == out->end()) {
-        out->push_back(data.symbol);
+      if (std::find(out->begin(), out->end(), term.symbol) == out->end()) {
+        out->push_back(term.symbol);
       }
       return;
     }
     case TermKind::kCompound:
     case TermKind::kAffine: {
-      for (TermId child : data.children) AppendVariables(child, out);
+      for (TermId child : term.children) AppendVariables(child, out);
       return;
     }
     default:
@@ -84,50 +77,66 @@ void TermArena::AppendVariables(TermId id, std::vector<SymbolId>* out) const {
 }
 
 bool TermArena::ContainsVariable(TermId id, SymbolId var) const {
-  const TermData& data = Get(id);
-  if (data.ground) return false;
-  if (data.kind == TermKind::kVariable) return data.symbol == var;
-  for (TermId child : data.children) {
+  const TermView term = Get(id);
+  if (term.ground) return false;
+  if (term.kind == TermKind::kVariable) return term.symbol == var;
+  for (TermId child : term.children) {
     if (ContainsVariable(child, var)) return true;
   }
   return false;
 }
 
-uint64_t TermArena::HashOf(const TermData& data) {
-  uint64_t h = HashCombine(static_cast<uint64_t>(data.kind), data.symbol);
-  h = HashCombine(h, static_cast<uint64_t>(data.value));
-  h = HashCombine(h, static_cast<uint64_t>(data.mul));
-  h = HashCombine(h, static_cast<uint64_t>(data.add));
-  return HashRange(data.children.begin(), data.children.end(), h);
+uint64_t TermArena::HashOf(const TermView& term) {
+  uint64_t h = HashCombine(static_cast<uint64_t>(term.kind), term.symbol);
+  h = HashCombine(h, static_cast<uint64_t>(term.value));
+  h = HashCombine(h, static_cast<uint64_t>(term.mul));
+  h = HashCombine(h, static_cast<uint64_t>(term.add));
+  return HashRange(term.children.begin(), term.children.end(), h);
 }
 
-bool TermArena::Equal(const TermData& a, const TermData& b) {
+bool TermArena::Equal(const TermView& a, const TermView& b) {
   return a.kind == b.kind && a.symbol == b.symbol && a.value == b.value &&
-         a.mul == b.mul && a.add == b.add && a.children == b.children;
+         a.mul == b.mul && a.add == b.add &&
+         std::ranges::equal(a.children, b.children);
 }
 
-TermId TermArena::Intern(TermData data) {
+TermId TermArena::Intern(const TermView& term) {
   MutexLock lock(mutex_);
-  const uint64_t h = HashOf(data);
+  const uint64_t h = HashOf(term);
   // Every stored id is below size(), so the probes read it through Get.
   if (std::optional<TermId> found = dedup_.Find(
-          h, [&](TermId id) { return Equal(Get(id), data); })) {
+          h, [&](TermId id) { return Equal(Get(id), term); })) {
     return *found;
   }
-  const size_t n = size_.load(std::memory_order_relaxed);
-  const size_t chunk = n >> kChunkShift;
-  const ChunkDir* dir = dir_.load(std::memory_order_relaxed);
-  if (chunk == chunk_owner_.size()) {
-    chunk_owner_.push_back(
-        std::make_unique<TermData[]>(size_t{1} << kChunkShift));
-    auto grown = std::make_unique<ChunkDir>();
-    if (dir != nullptr) grown->chunks = dir->chunks;
-    grown->chunks.push_back(chunk_owner_.back().get());
-    dir_.store(grown.get(), std::memory_order_release);
-    dir = grown.get();
-    dir_owner_.push_back(std::move(grown));
+  // Side data first, then the record, then the release store of size_
+  // that publishes them together.
+  uint32_t payload = 0;
+  switch (term.kind) {
+    case TermKind::kConstant:
+    case TermKind::kVariable:
+      payload = term.symbol;
+      break;
+    case TermKind::kInteger:
+      payload = integers_.Append(&term.value, 1);
+      break;
+    case TermKind::kCompound: {
+      const CompoundRecord compound{
+          term.symbol,
+          children_.Append(term.children.data(), term.children.size()),
+          static_cast<uint32_t>(term.children.size())};
+      payload = compounds_.Append(&compound, 1);
+      break;
+    }
+    case TermKind::kAffine: {
+      const AffineRecord affine{term.mul, term.add, term.children[0]};
+      payload = affines_.Append(&affine, 1);
+      break;
+    }
   }
-  dir->chunks[chunk][n & kChunkMask] = std::move(data);
+  const size_t n = size_.load(std::memory_order_relaxed);
+  const TermRecord record{term.kind, term.ground, payload};
+  const uint32_t slot = records_.Append(&record, 1);
+  MAGIC_CHECK(slot == n);
   const TermId id =
       dedup_.Add(h, [this](TermId stored) { return HashOf(Get(stored)); });
   MAGIC_CHECK(id == n);

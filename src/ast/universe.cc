@@ -29,7 +29,7 @@ std::string Universe::TermToString(TermId id) const {
 }
 
 void Universe::TermToStringImpl(TermId id, std::string* out) const {
-  const TermData& data = terms().Get(id);
+  const TermView data = terms().Get(id);
   switch (data.kind) {
     case TermKind::kConstant:
     case TermKind::kVariable:
@@ -41,7 +41,7 @@ void Universe::TermToStringImpl(TermId id, std::string* out) const {
     case TermKind::kAffine: {
       // Formats mul*V+add the way the paper writes index expressions,
       // e.g. "I+1", "K*2+2", "H*5+4".
-      const TermData& var = terms().Get(data.children[0]);
+      const TermView var = terms().Get(data.children[0]);
       if (data.mul != 1) {
         out->append(symbols_.Name(var.symbol));
         out->append("*");
@@ -63,7 +63,7 @@ void Universe::TermToStringImpl(TermId id, std::string* out) const {
         TermId node = id;
         bool first = true;
         while (true) {
-          const TermData& cell = terms().Get(node);
+          const TermView cell = terms().Get(node);
           if (cell.kind == TermKind::kCompound &&
               symbols_.Name(cell.symbol) == "." && cell.children.size() == 2) {
             if (!first) out->push_back(',');

@@ -76,8 +76,9 @@ class Universe {
   TermId Variable(std::string_view name) {
     return terms().MakeVariable(Sym(name));
   }
-  TermId Compound(std::string_view functor, std::vector<TermId> args) {
-    return terms().MakeCompound(Sym(functor), std::move(args));
+  TermId Compound(std::string_view functor,
+                  const std::vector<TermId>& args) {
+    return terms().MakeCompound(Sym(functor), args);
   }
   TermId Affine(TermId variable, int64_t mul, int64_t add) const {
     return terms().MakeAffine(variable, mul, add);

@@ -21,6 +21,7 @@ Result<PreparedQueryForm> PreparedQueryForm::Prepare(
       std::make_shared<Universe>(std::shared_ptr<const Universe>(
           program.universe()));
   plan->strategy = options.strategy;
+  plan->strategy_name = StrategyName(options.strategy);
   plan->exemplar = exemplar;
   plan->eval_options = options.eval;
   const Universe& u = *plan->universe;
@@ -34,6 +35,7 @@ Result<PreparedQueryForm> PreparedQueryForm::Prepare(
   const Program* evaluated = nullptr;
 
   if (!program.IsHeadPredicate(exemplar.goal.pred)) {
+    plan->strategy_name = kSelectionName;
     plan->adornment = QueryAdornment(u, exemplar);
   } else if (options.strategy == Strategy::kNaiveBottomUp ||
              options.strategy == Strategy::kSemiNaiveBottomUp) {
@@ -119,7 +121,7 @@ QueryAnswer PreparedQueryForm::Answer(
     std::optional<std::chrono::steady_clock::time_point> admitted) const {
   const Plan& p = *plan_;
   QueryAnswer answer;
-  answer.strategy_name = StrategyName(p.strategy);
+  answer.strategy_name = p.strategy_name;
   answer.safety_note = p.safety_note;
   if (bound_values.size() != p.bound_positions.size()) {
     answer.status = Status::InvalidArgument(

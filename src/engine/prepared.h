@@ -65,8 +65,16 @@ class PreparedQueryForm {
   /// The queried predicate.
   PredId pred() const { return plan_->exemplar.goal.pred; }
 
-  /// The compiled strategy.
+  /// The compiled strategy (for a selection, the one it was asked under,
+  /// which does not apply).
   Strategy strategy() const { return plan_->strategy; }
+
+  /// The name every answer of this form carries: StrategyName(strategy()),
+  /// or kSelectionName for a selection.
+  const std::string& strategy_name() const { return plan_->strategy_name; }
+
+  /// strategy_name() of a selection form.
+  static constexpr const char* kSelectionName = "selection";
 
   /// Number of bound positions, i.e. the arity of Answer's `bound_values`.
   size_t bound_arity() const { return plan_->bound_positions.size(); }
@@ -90,6 +98,7 @@ class PreparedQueryForm {
   struct Plan {
     std::shared_ptr<Universe> universe;
     Strategy strategy = Strategy::kSupplementaryMagic;
+    std::string strategy_name;
     /// Answer() instantiates the exemplar's bound positions per request.
     Query exemplar;
     Adornment adornment;

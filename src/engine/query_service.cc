@@ -72,7 +72,10 @@ size_t QueryService::FormHandle::bound_arity() const {
 }
 
 size_t QueryService::FormKeyHash::operator()(const FormKey& key) const {
-  uint64_t h = HashCombine(key.pred, static_cast<uint64_t>(key.strategy));
+  // 0 for the empty strategy slot of a selection form.
+  const uint64_t strategy =
+      key.strategy ? static_cast<uint64_t>(*key.strategy) + 1 : 0;
+  uint64_t h = HashCombine(key.pred, strategy);
   for (int entry : key.pattern) {
     h = HashCombine(h, static_cast<uint64_t>(entry));
   }
@@ -195,6 +198,10 @@ QueryService::FormKey QueryService::MakeKey(const QueryRequest& request) const {
   FormKey key;
   key.pred = request.query.goal.pred;
   key.pattern = QueryArgPattern(*program_.universe(), request.query);
+  // A base-predicate goal compiles to a selection, which neither strategy
+  // nor sip applies to: both slots stay empty, so every request for it
+  // shares one form.
+  if (!program_.IsHeadPredicate(key.pred)) return key;
   key.strategy = request.strategy.value_or(options_.engine.strategy);
   // naive/semi-naive plans take no sip; normalizing the key keeps one plan
   // per binding pattern instead of one per (irrelevant) sip name.
@@ -205,8 +212,7 @@ QueryService::FormKey QueryService::MakeKey(const QueryRequest& request) const {
 }
 
 QueryService::CachedForm* QueryService::GetOrCompile(
-    const QueryRequest& request, const FormKey& key, bool* compiled) {
-  if (compiled != nullptr) *compiled = false;
+    const QueryRequest& request, const FormKey& key, obs::Span* compile_span) {
   MutexLock lock(form_mutex_);
   auto it = forms_.find(key);
   if (it != forms_.end()) {
@@ -214,8 +220,10 @@ QueryService::CachedForm* QueryService::GetOrCompile(
     return &it->second;
   }
   EngineOptions engine_options = options_.engine;
-  engine_options.strategy = key.strategy;
+  if (key.strategy) engine_options.strategy = *key.strategy;
   if (!key.sip.empty()) engine_options.sip = key.sip;
+  const uint64_t compile_start =
+      options_.obs.enabled ? obs::Trace::NowNs() : 0;
   // Compilation writes only into the plan's Universe overlay (the shared
   // base is frozen underneath it), so in-flight evaluations keep running;
   // only concurrent compiles serialize here.
@@ -227,7 +235,12 @@ QueryService::CachedForm* QueryService::GetOrCompile(
     return &cached;
   }
   forms_compiled_->Add();
-  if (compiled != nullptr) *compiled = true;
+  if (options_.obs.enabled) {
+    const obs::Span span{obs::Stage::kCompile, compile_start,
+                         obs::Trace::NowNs()};
+    compile_latency_->Record(span.end_ns - span.start_ns);
+    if (compile_span != nullptr) *compile_span = span;
+  }
   cached.form = std::make_unique<PreparedQueryForm>(std::move(*form));
 
   // Register the form's instruments while we still hold form_mutex_ (the
@@ -239,7 +252,7 @@ QueryService::CachedForm* QueryService::GetOrCompile(
                       "/" + cached.form->adornment().ToString();
   const obs::MetricsRegistry::Labels form_labels{
       {"form", cached.form_label},
-      {"strategy", StrategyName(key.strategy)},
+      {"strategy", cached.form->strategy_name()},
       {"sip", key.sip}};
   cached.queries = metrics_.GetCounter(
       "magicdb_form_queries", form_labels,
@@ -333,7 +346,7 @@ void QueryService::ServeHit(CachedForm* cached,
                             const Completion& done) {
   QueryAnswer answer;
   answer.from_cache = true;
-  answer.strategy_name = StrategyName(cached->form->strategy());
+  answer.strategy_name = cached->form->strategy_name();
   const size_t total = tuples->size();
   size_t serve = total;
   // Mirror the evaluated path's outcome exactly: AnswerCollector marks
@@ -574,21 +587,14 @@ void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
   // Every query — base or derived, any strategy — resolves to a compiled
   // form; a base-predicate query's form is a selection.
   const FormKey key = MakeKey(request);
-  bool compiled = false;
-  const uint64_t compile_start =
-      options_.obs.enabled ? obs::Trace::NowNs() : 0;
-  CachedForm* cached = GetOrCompile(request, key, &compiled);
   obs::Span compile_span{};
-  if (compiled && options_.obs.enabled) {
-    compile_span =
-        obs::Span{obs::Stage::kCompile, compile_start, obs::Trace::NowNs()};
-    compile_latency_->Record(compile_span.end_ns - compile_span.start_ns);
-  }
+  CachedForm* cached = GetOrCompile(request, key, &compile_span);
   if (cached->form == nullptr) {
     QueryAnswer answer;
     answer.status = cached->error;
     answer.outcome = AnswerStatus::kError;
-    answer.strategy_name = StrategyName(key.strategy);
+    answer.strategy_name = key.strategy ? StrategyName(*key.strategy)
+                                        : PreparedQueryForm::kSelectionName;
     queries_served_->Add();
     done(std::move(answer));
     return;
@@ -891,7 +897,7 @@ std::string QueryService::MetricsJson() const {
       if (cached.form == nullptr) continue;
       w.BeginObject();
       w.Key("form").String(cached.form_label);
-      w.Key("strategy").String(StrategyName(key.strategy));
+      w.Key("strategy").String(cached.form->strategy_name());
       w.Key("sip").String(key.sip);
       w.Key("rules").BeginArray();
       for (const std::string& rule : cached.form->rule_labels()) {

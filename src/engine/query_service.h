@@ -382,7 +382,9 @@ class QueryService {
     /// QueryArgPattern of the goal: which arguments are ground and which
     /// repeat a variable, so anc(X,X) and anc(X,Y) are different forms.
     std::vector<int> pattern;
-    Strategy strategy = Strategy::kSupplementaryMagic;
+    /// Empty for a base-predicate goal (a selection form), which neither
+    /// strategy nor sip applies to; its sip is empty too.
+    std::optional<Strategy> strategy;
     std::string sip;
     bool operator==(const FormKey&) const = default;
   };
@@ -423,10 +425,12 @@ class QueryService {
   /// writes only into the plan's Universe overlay, so this holds only
   /// form_mutex_ — no universe/serve lock (the metrics mutex it takes to
   /// register the form's instruments ranks above form_mutex_, a legal
-  /// nesting). `*compiled` (optional) reports whether this call actually
-  /// compiled, so the request tier can attach a compile span.
+  /// nesting). A call that compiles records magicdb_compile_latency_ns
+  /// and, with `compile_span` (optional), reports the compile as a span
+  /// so the request tier can attach it; both only when obs is enabled.
   CachedForm* GetOrCompile(const QueryRequest& request, const FormKey& key,
-                           bool* compiled = nullptr) EXCLUDES(form_mutex_);
+                           obs::Span* compile_span = nullptr)
+      EXCLUDES(form_mutex_);
 
   /// Reserves one admission slot. Returns false (and leaves no slot taken)
   /// when `enforce_admission` and the bounded queue is full.

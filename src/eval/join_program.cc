@@ -33,7 +33,7 @@ namespace {
 /// affine structure), preserving first-occurrence order.
 void AppendTermVariables(const Universe& u, TermId term,
                          std::vector<SymbolId>* out) {
-  const TermData& t = u.terms().Get(term);
+  const TermView t = u.terms().Get(term);
   if (t.ground) return;
   switch (t.kind) {
     case TermKind::kVariable:
@@ -41,10 +41,7 @@ void AppendTermVariables(const Universe& u, TermId term,
       return;
     case TermKind::kCompound:
     case TermKind::kAffine: {
-      // Get() references may not survive recursion in general; reads are
-      // safe here (compile time never interns), but copy for uniformity.
-      std::vector<TermId> children = t.children;
-      for (TermId child : children) AppendTermVariables(u, child, out);
+      for (TermId child : t.children) AppendTermVariables(u, child, out);
       return;
     }
     default:
@@ -120,7 +117,7 @@ JoinProgram JoinProgram::Compile(const Program& program,
 
       for (size_t a = 0; a < lit.args.size(); ++a) {
         const TermId arg = lit.args[a];
-        const TermData& t = u.terms().Get(arg);
+        const TermView t = u.terms().Get(arg);
         ArgStep step;
         step.col = static_cast<uint8_t>(a);
         if (t.ground) {
@@ -178,7 +175,7 @@ JoinProgram JoinProgram::Compile(const Program& program,
     rp.head_steps.reserve(rule.head.args.size());
     for (size_t a = 0; a < rule.head.args.size(); ++a) {
       const TermId arg = rule.head.args[a];
-      const TermData& t = u.terms().Get(arg);
+      const TermView t = u.terms().Get(arg);
       ArgStep step;
       step.col = static_cast<uint8_t>(a);
       if (t.ground) {

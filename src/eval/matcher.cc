@@ -31,14 +31,13 @@ std::optional<int64_t> AffineSolve(int64_t mul, int64_t add, int64_t ground) {
 
 }  // namespace
 
-// NOTE: interning a term (u.Integer, MakeCompound) may reallocate the term
-// arena and invalidate any TermData references held across the call. Both
-// functions below therefore copy the fields they need *before* creating new
-// terms; do not "simplify" them back to holding references.
+// Get returns a view by value whose child span points into the arena's
+// never-moving child array, so it stays valid while the functions below
+// intern new terms (u.Integer, MakeCompound) on the way down.
 
 bool MatchTerm(const Universe& u, TermId pattern, TermId ground,
                Substitution* subst) {
-  const TermData& p = u.terms().Get(pattern);
+  const TermView p = u.terms().Get(pattern);
   if (p.ground) {
     // Hash-consing makes ground equality an id comparison.
     return pattern == ground;
@@ -51,22 +50,18 @@ bool MatchTerm(const Universe& u, TermId pattern, TermId ground,
       return true;
     }
     case TermKind::kCompound: {
-      const TermData& g = u.terms().Get(ground);
+      const TermView g = u.terms().Get(ground);
       if (g.kind != TermKind::kCompound || g.symbol != p.symbol ||
           g.children.size() != p.children.size()) {
         return false;
       }
-      // Recursive matches may intern integers (affine inversion), so work
-      // on copies of the child id lists.
-      std::vector<TermId> p_children = p.children;
-      std::vector<TermId> g_children = g.children;
-      for (size_t i = 0; i < p_children.size(); ++i) {
-        if (!MatchTerm(u, p_children[i], g_children[i], subst)) return false;
+      for (size_t i = 0; i < p.children.size(); ++i) {
+        if (!MatchTerm(u, p.children[i], g.children[i], subst)) return false;
       }
       return true;
     }
     case TermKind::kAffine: {
-      const TermData& g = u.terms().Get(ground);
+      const TermView g = u.terms().Get(ground);
       if (g.kind != TermKind::kInteger) return false;
       const int64_t ground_value = g.value;
       const int64_t mul = p.mul;
@@ -74,7 +69,7 @@ bool MatchTerm(const Universe& u, TermId pattern, TermId ground,
       const SymbolId var = u.terms().Get(p.children[0]).symbol;
       TermId bound = subst->Lookup(var);
       if (bound != kInvalidTerm) {
-        const TermData& b = u.terms().Get(bound);
+        const TermView b = u.terms().Get(bound);
         return b.kind == TermKind::kInteger &&
                AffineValue(mul, b.value, add) == ground_value;
       }
@@ -93,23 +88,20 @@ bool MatchTerm(const Universe& u, TermId pattern, TermId ground,
 
 TermId SubstituteGround(const Universe& u, TermId pattern,
                         const Substitution& subst) {
-  const TermData& p = u.terms().Get(pattern);
+  const TermView p = u.terms().Get(pattern);
   if (p.ground) return pattern;
   switch (p.kind) {
     case TermKind::kVariable:
       return subst.Lookup(p.symbol);
     case TermKind::kCompound: {
-      // Recursive substitution interns terms; copy before descending.
-      const SymbolId functor = p.symbol;
-      std::vector<TermId> p_children = p.children;
       std::vector<TermId> children;
-      children.reserve(p_children.size());
-      for (TermId child : p_children) {
+      children.reserve(p.children.size());
+      for (TermId child : p.children) {
         TermId sub = SubstituteGround(u, child, subst);
         if (sub == kInvalidTerm) return kInvalidTerm;
         children.push_back(sub);
       }
-      return u.terms().MakeCompound(functor, std::move(children));
+      return u.terms().MakeCompound(p.symbol, children);
     }
     case TermKind::kAffine: {
       const int64_t mul = p.mul;
@@ -117,7 +109,7 @@ TermId SubstituteGround(const Universe& u, TermId pattern,
       const SymbolId var = u.terms().Get(p.children[0]).symbol;
       TermId bound = subst.Lookup(var);
       if (bound == kInvalidTerm) return kInvalidTerm;
-      const TermData& b = u.terms().Get(bound);
+      const TermView b = u.terms().Get(bound);
       if (b.kind != TermKind::kInteger) return kInvalidTerm;
       const int64_t value = b.value;
       return u.Integer(AffineValue(mul, value, add));
@@ -147,7 +139,7 @@ inline void BindSlot(const SlotFrame& f, int slot, TermId ground) {
 
 bool MatchTermSlots(const Universe& u, TermId pattern, TermId ground,
                     const SlotFrame& f) {
-  const TermData& p = u.terms().Get(pattern);
+  const TermView p = u.terms().Get(pattern);
   if (p.ground) return pattern == ground;
   switch (p.kind) {
     case TermKind::kVariable: {
@@ -158,22 +150,18 @@ bool MatchTermSlots(const Universe& u, TermId pattern, TermId ground,
       return true;
     }
     case TermKind::kCompound: {
-      const TermData& g = u.terms().Get(ground);
+      const TermView g = u.terms().Get(ground);
       if (g.kind != TermKind::kCompound || g.symbol != p.symbol ||
           g.children.size() != p.children.size()) {
         return false;
       }
-      // Recursive matches may intern integers (affine inversion), so work
-      // on copies of the child id lists (see the NOTE at the top).
-      std::vector<TermId> p_children = p.children;
-      std::vector<TermId> g_children = g.children;
-      for (size_t i = 0; i < p_children.size(); ++i) {
-        if (!MatchTermSlots(u, p_children[i], g_children[i], f)) return false;
+      for (size_t i = 0; i < p.children.size(); ++i) {
+        if (!MatchTermSlots(u, p.children[i], g.children[i], f)) return false;
       }
       return true;
     }
     case TermKind::kAffine: {
-      const TermData& g = u.terms().Get(ground);
+      const TermView g = u.terms().Get(ground);
       if (g.kind != TermKind::kInteger) return false;
       const int64_t ground_value = g.value;
       const int64_t mul = p.mul;
@@ -181,7 +169,7 @@ bool MatchTermSlots(const Universe& u, TermId pattern, TermId ground,
       const int slot = SlotOf(f, u.terms().Get(p.children[0]).symbol);
       TermId bound = f.frame[slot];
       if (bound != kInvalidTerm) {
-        const TermData& b = u.terms().Get(bound);
+        const TermView b = u.terms().Get(bound);
         return b.kind == TermKind::kInteger &&
                AffineValue(mul, b.value, add) == ground_value;
       }
@@ -200,30 +188,27 @@ bool MatchTermSlots(const Universe& u, TermId pattern, TermId ground,
 
 TermId SubstituteGroundSlots(const Universe& u, TermId pattern,
                              const SlotFrame& f) {
-  const TermData& p = u.terms().Get(pattern);
+  const TermView p = u.terms().Get(pattern);
   if (p.ground) return pattern;
   switch (p.kind) {
     case TermKind::kVariable:
       return f.frame[SlotOf(f, p.symbol)];
     case TermKind::kCompound: {
-      // Recursive substitution interns terms; copy before descending.
-      const SymbolId functor = p.symbol;
-      std::vector<TermId> p_children = p.children;
       std::vector<TermId> children;
-      children.reserve(p_children.size());
-      for (TermId child : p_children) {
+      children.reserve(p.children.size());
+      for (TermId child : p.children) {
         TermId sub = SubstituteGroundSlots(u, child, f);
         if (sub == kInvalidTerm) return kInvalidTerm;
         children.push_back(sub);
       }
-      return u.terms().MakeCompound(functor, std::move(children));
+      return u.terms().MakeCompound(p.symbol, children);
     }
     case TermKind::kAffine: {
       const int64_t mul = p.mul;
       const int64_t add = p.add;
       TermId bound = f.frame[SlotOf(f, u.terms().Get(p.children[0]).symbol)];
       if (bound == kInvalidTerm) return kInvalidTerm;
-      const TermData& b = u.terms().Get(bound);
+      const TermView b = u.terms().Get(bound);
       if (b.kind != TermKind::kInteger) return kInvalidTerm;
       const int64_t value = b.value;
       return u.Integer(AffineValue(mul, value, add));

@@ -39,13 +39,13 @@ TermId Generalize(Universe& u, std::mt19937& rng, TermId ground,
   if (rng() % 4 == 0) {
     return u.Variable("V" + std::to_string((*var_counter)++ % 3));
   }
-  const TermData& data = u.terms().Get(ground);
+  const TermView data = u.terms().Get(ground);
   if (data.kind == TermKind::kCompound) {
     std::vector<TermId> children;
     for (TermId child : data.children) {
       children.push_back(Generalize(u, rng, child, var_counter));
     }
-    return u.terms().MakeCompound(data.symbol, std::move(children));
+    return u.terms().MakeCompound(data.symbol, children);
   }
   return ground;
 }

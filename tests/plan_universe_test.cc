@@ -183,8 +183,8 @@ TEST(PlanUniverseTest, FreshVariablesNeverCollideWithBaseVariables) {
   TermId overlay_fresh = overlay.FreshVariable("I");
   EXPECT_NE(overlay_fresh, base_fresh);
   // Distinct names, hence distinct (shared-arena) variable terms.
-  const TermData& a = base->terms().Get(base_fresh);
-  const TermData& b = overlay.terms().Get(overlay_fresh);
+  const TermView a = base->terms().Get(base_fresh);
+  const TermView b = overlay.terms().Get(overlay_fresh);
   EXPECT_NE(base->symbols().Name(a.symbol), overlay.symbols().Name(b.symbol));
 }
 

@@ -251,10 +251,63 @@ TEST(QueryServiceTest, BasePredicateQueriesAreDirectSelections) {
   ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
   ASSERT_EQ(answer.tuples.size(), 1u);
   EXPECT_EQ(u.TermToString(answer.tuples[0][0]), "c4");
-  // The answer names the strategy the request asked for.
-  EXPECT_EQ(answer.strategy_name, "topdown");
+  // No strategy applies to a selection, and the answer says so.
+  EXPECT_EQ(answer.strategy_name, "selection");
   // A selection is a compiled form like any other.
   EXPECT_EQ(service.stats().forms_compiled, 1u);
+}
+
+TEST(QueryServiceTest, BasePredicateFormIsSharedAcrossStrategies) {
+  // A selection's form key has an empty strategy slot and an empty sip,
+  // so par(c0, Y) asked under two strategies (and two sips) compiles one
+  // form, and the second request is served from the first one's
+  // AnswerCache entry.
+  Workload w = MakeAncestorChain(10);
+  Universe& u = *w.universe;
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  QueryService service(w.program, w.db, options);
+  QueryRequest request;
+  request.query.goal.pred = *u.predicates().Find(*u.symbols().Find("par"), 2);
+  request.query.goal.args = {u.Constant("c0"), u.FreshVariable("Y")};
+  request.strategy = Strategy::kSupplementaryMagic;
+  request.sip = "full";
+  QueryAnswer first = service.Answer(request);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.from_cache);
+  request.strategy = Strategy::kCounting;
+  request.sip = "chain";
+  QueryAnswer second = service.Answer(request);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.from_cache);
+  EXPECT_EQ(second.tuples, first.tuples);
+  EXPECT_EQ(second.strategy_name, "selection");
+  EXPECT_EQ(service.metrics().GetCounter("magicdb_forms_compiled")->value(),
+            1u);
+  EXPECT_EQ(service.stats().forms_compiled, 1u);
+}
+
+TEST(QueryServiceTest, PrepareRecordsOneCompileLatencySample) {
+  // Compile latency is recorded where the form compiles, so a form
+  // compiled through Prepare counts once, and a second Prepare of the
+  // same key (a form-cache hit) records nothing.
+  Workload w = MakeAncestorChain(6);
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  QueryService service(w.program, w.db, options);
+  auto compile_samples = [&] {
+    return service.metrics()
+        .GetHistogram("magicdb_compile_latency_ns")
+        ->Snapshot()
+        .count;
+  };
+  QueryRequest request;
+  request.query = w.query;
+  EXPECT_EQ(compile_samples(), 0u);
+  ASSERT_TRUE(service.Prepare(request).ok());
+  EXPECT_EQ(compile_samples(), 1u);
+  ASSERT_TRUE(service.Prepare(request).ok());
+  EXPECT_EQ(compile_samples(), 1u);
 }
 
 TEST(QueryServiceTest, ServesNonRewritingStrategiesAsPreparedForms) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -161,7 +162,7 @@ TEST(SymbolTableTest, ConcurrentInterningGivesEachNameOneId) {
         }
         const size_t terms = u.terms().size();
         if (terms == 0) continue;
-        const TermData& t = u.terms().Get(static_cast<TermId>(rng() % terms));
+        const TermView t = u.terms().Get(static_cast<TermId>(rng() % terms));
         EXPECT_EQ(t.kind, TermKind::kConstant);
         EXPECT_EQ(u.symbols().Name(t.symbol)[0], 'n');
         reads.fetch_add(1);
@@ -265,13 +266,14 @@ TEST(TermArenaTest, RandomizedInterningOverSeveralDoublings) {
   ASSERT_GT(keys.size(), 8192u);
   for (TermId id = 0; id < keys.size(); ++id) {
     const auto& [kind, symbol, value, mul, add, children] = keys[id];
-    const TermData& t = u.terms().Get(id);
+    const TermView t = u.terms().Get(id);
     ASSERT_EQ(t.kind, kind);
     ASSERT_EQ(t.symbol, symbol);
     ASSERT_EQ(t.value, value);
     ASSERT_EQ(t.mul, mul);
     ASSERT_EQ(t.add, add);
-    ASSERT_EQ(t.children, children);
+    ASSERT_EQ(std::vector<TermId>(t.children.begin(), t.children.end()),
+              children);
   }
   // Every term again, in reverse: each keeps its id and nothing is added.
   for (TermId id = static_cast<TermId>(keys.size()); id-- > 0;) {
@@ -288,6 +290,182 @@ TEST(TermArenaTest, RandomizedInterningOverSeveralDoublings) {
     ASSERT_EQ(again, id);
   }
   EXPECT_EQ(u.terms().size(), keys.size());
+}
+
+TEST(TermArenaTest, ConcurrentReadersSeeWholeTermsOfEveryKind) {
+  // Writers intern all five kinds at once while readers Get random ids
+  // below size(). Every id's expected term (what it was interned with) is
+  // recorded in a per-id model by the one writer that owns it: writers
+  // intern disjoint terms, so no id has two writers. A reader checks every
+  // field and every child of each id whose model entry is published.
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kOpsPerWriter = 12'000;
+  constexpr uint32_t kChunk = TermArena::kChildChunkUnits;
+  struct Expected {
+    TermKind kind = TermKind::kConstant;
+    bool ground = true;
+    SymbolId symbol = 0;
+    int64_t value = 0;
+    int64_t mul = 0;
+    int64_t add = 0;
+    std::vector<TermId> children;
+  };
+  constexpr size_t kMaxTerms = 2 * kChunk + 8 + kWriters * kOpsPerWriter;
+  std::vector<Expected> expected(kMaxTerms);
+  std::vector<std::atomic<bool>> published(kMaxTerms);
+  TermArena arena;
+  // Records `id`'s model entry once; only the id's owner calls this.
+  auto record = [&](TermId id, Expected e) {
+    ASSERT_LT(id, kMaxTerms);
+    if (published[id].load(std::memory_order_relaxed)) return;
+    expected[id] = std::move(e);
+    published[id].store(true, std::memory_order_release);
+  };
+  auto ground_of = [&](const std::vector<TermId>& children) {
+    return std::all_of(children.begin(), children.end(),
+                       [&](TermId c) { return expected[c].ground; });
+  };
+
+  // Before the race: the first kChunk - 1 unary compounds fill the child
+  // array's first chunk but its last unit, so the next one's child list
+  // starts at that last unit. A binary compound then no longer fits and
+  // starts the second chunk, and a list longer than a chunk gets a block
+  // of its own.
+  constexpr SymbolId kPre = SymbolId{1} << 30;
+  std::vector<TermId> unary;
+  for (uint32_t i = 0; i < kChunk; ++i) {
+    const TermId constant = arena.MakeConstant(kPre + i);
+    ASSERT_NO_FATAL_FAILURE(record(
+        constant, Expected{TermKind::kConstant, true, kPre + i, 0, 0, 0, {}}));
+    const TermId compound = arena.MakeCompound(kPre, {constant});
+    ASSERT_NO_FATAL_FAILURE(record(
+        compound,
+        Expected{TermKind::kCompound, true, kPre, 0, 0, 0, {constant}}));
+    unary.push_back(compound);
+  }
+  const TermId* first_unit = arena.Get(unary[0]).children.data();
+  for (uint32_t i = 0; i < kChunk; ++i) {
+    ASSERT_EQ(arena.Get(unary[i]).children.data(), first_unit + i);
+  }
+  const std::vector<TermId> pair = {unary[0], unary[1]};
+  ASSERT_NO_FATAL_FAILURE(
+      record(arena.MakeCompound(kPre + 1, pair),
+             Expected{TermKind::kCompound, true, kPre + 1, 0, 0, 0, pair}));
+  std::vector<TermId> longer(unary.begin(), unary.end());
+  longer.push_back(unary[0]);
+  ASSERT_NO_FATAL_FAILURE(
+      record(arena.MakeCompound(kPre + 2, longer),
+             Expected{TermKind::kCompound, true, kPre + 2, 0, 0, 0, longer}));
+
+  const std::vector<int64_t> extremes = {
+      0, -1, 1, std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max(), int64_t{1} << 32,
+      -(int64_t{1} << 32)};
+  std::atomic<int> readers_ready{0};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (readers_ready.load() < kReaders) std::this_thread::yield();
+      std::mt19937_64 rng(300 + w);
+      // Writer w owns: constants and variables with symbol % kWriters ==
+      // w, integers with value & 3 == w (kWriters is 4), compounds with
+      // functor % kWriters == w, and affine terms over its own variables.
+      std::vector<TermId> mine;
+      std::vector<TermId> variables;
+      std::vector<int64_t> my_extremes;
+      for (int64_t v : extremes) {
+        if ((v & 3) == w) my_extremes.push_back(v);
+      }
+      for (int op = 0; op < kOpsPerWriter; ++op) {
+        const unsigned pick = static_cast<unsigned>(rng() % 10);
+        TermId id = kInvalidTerm;
+        Expected e;
+        if (pick < 3) {
+          e.symbol = static_cast<SymbolId>(w + kWriters * (rng() % 4000));
+          id = arena.MakeConstant(e.symbol);
+        } else if (pick < 5) {
+          e.kind = TermKind::kInteger;
+          e.value = !my_extremes.empty() && rng() % 8 == 0
+                        ? my_extremes[rng() % my_extremes.size()]
+                        : static_cast<int64_t>((rng() & ~uint64_t{3}) |
+                                               static_cast<uint64_t>(w));
+          id = arena.MakeInteger(e.value);
+        } else if (pick < 6) {
+          e.kind = TermKind::kVariable;
+          e.ground = false;
+          e.symbol = static_cast<SymbolId>(w + kWriters * (rng() % 200));
+          id = arena.MakeVariable(e.symbol);
+          variables.push_back(id);
+        } else if (pick < 9 && !mine.empty()) {
+          e.kind = TermKind::kCompound;
+          e.symbol = static_cast<SymbolId>(w + kWriters * (rng() % 3));
+          e.children.resize(1 + rng() % 9);
+          for (TermId& child : e.children) {
+            child = mine[rng() % mine.size()];
+          }
+          e.ground = ground_of(e.children);
+          id = arena.MakeCompound(e.symbol, e.children);
+        } else if (!variables.empty()) {
+          e.kind = TermKind::kAffine;
+          e.ground = false;
+          e.mul = 1 + static_cast<int64_t>(rng() % 5);
+          e.add = static_cast<int64_t>(rng() % 11) - 5;
+          e.children = {variables[rng() % variables.size()]};
+          id = arena.MakeAffine(e.children[0], e.mul, e.add);
+        } else {
+          continue;
+        }
+        ASSERT_NO_FATAL_FAILURE(record(id, std::move(e)));
+        mine.push_back(id);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::atomic<size_t> checked{0};
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::mt19937_64 rng(400 + r);
+      readers_ready.fetch_add(1);
+      for (int i = 0; i < 2000 || writers_left.load() > 0; ++i) {
+        const size_t terms = arena.size();
+        const TermId id = static_cast<TermId>(rng() % terms);
+        const TermView t = arena.Get(id);
+        ASSERT_EQ(arena.IsGround(id), t.ground);
+        if (!published[id].load(std::memory_order_acquire)) continue;
+        const Expected& e = expected[id];
+        ASSERT_EQ(t.kind, e.kind) << id;
+        ASSERT_EQ(t.ground, e.ground) << id;
+        ASSERT_EQ(t.symbol, e.symbol) << id;
+        ASSERT_EQ(t.value, e.value) << id;
+        ASSERT_EQ(t.mul, e.mul) << id;
+        ASSERT_EQ(t.add, e.add) << id;
+        ASSERT_EQ(std::vector<TermId>(t.children.begin(), t.children.end()),
+                  e.children)
+            << id;
+        checked.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_GT(checked.load(), 0u);
+  ASSERT_LE(arena.size(), kMaxTerms);
+  for (TermId id = 0; id < arena.size(); ++id) {
+    ASSERT_TRUE(published[id].load()) << id;
+    const TermView t = arena.Get(id);
+    const Expected& e = expected[id];
+    ASSERT_EQ(t.kind, e.kind) << id;
+    ASSERT_EQ(t.ground, e.ground) << id;
+    ASSERT_EQ(t.symbol, e.symbol) << id;
+    ASSERT_EQ(t.value, e.value) << id;
+    ASSERT_EQ(t.mul, e.mul) << id;
+    ASSERT_EQ(t.add, e.add) << id;
+    ASSERT_EQ(std::vector<TermId>(t.children.begin(), t.children.end()),
+              e.children)
+        << id;
+  }
 }
 
 TEST(TermArenaTest, HashConsingDeduplicatesGroundTerms) {
@@ -342,7 +520,7 @@ TEST(TermArenaTest, AffineTermsCarryCoefficients) {
   Universe u;
   TermId var = u.Variable("I");
   TermId affine = u.Affine(var, 2, 1);
-  const TermData& data = u.terms().Get(affine);
+  const TermView data = u.terms().Get(affine);
   EXPECT_EQ(data.kind, TermKind::kAffine);
   EXPECT_EQ(data.mul, 2);
   EXPECT_EQ(data.add, 1);
@@ -355,7 +533,7 @@ TEST(UniverseTest, FreshVariablesNeverCollide) {
   Universe u;
   u.Variable("I_0");
   TermId fresh = u.FreshVariable("I");
-  const TermData& data = u.terms().Get(fresh);
+  const TermView data = u.terms().Get(fresh);
   EXPECT_NE(u.symbols().Name(data.symbol), "I_0");
 }
 
