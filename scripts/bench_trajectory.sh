@@ -12,7 +12,7 @@
 # records read QPS while a writer thread mutates the EDB through the
 # service's write seam, and the `serve` open-loop wire mode: requests
 # arrive at a fixed rate RATE (default 1000/s) over real TCP connections
-# to an in-process magicdb-serve, and the line records p50/p95/p99
+# to an in-process MagicServer, and the line records p50/p95/p99
 # latency measured from each request's *scheduled* arrival, so queueing
 # delay counts). MODE=eval_large runs the standalone million-fact
 # single-stream fixpoint mode; LARGE_FACTS (default 1000000) sets its

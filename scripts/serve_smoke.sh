@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# End-to-end smoke test of the wire surface: starts magicdb-serve on an
+# End-to-end smoke test of the wire surface: starts `magicdb serve` on an
 # ephemeral port, drives it with magicdb-cli (PREPARE / QUERY / APPLY /
 # STREAM / STATS / METRICS), checks row counts before and after a live
 # write, validates the Prometheus text exposition and the JSON stats
@@ -7,13 +7,13 @@
 # same binary+protocol pairing a user deploys, not the in-process test
 # server.
 #
-#   scripts/serve_smoke.sh [serve-binary] [cli-binary]
+#   scripts/serve_smoke.sh [magicdb-binary] [cli-binary]
 #
 # Exits non-zero (with the failing step on stderr) on any mismatch; CI
 # runs this on the Release leg after ctest.
 set -eu
 
-SERVE=${1:-./build/magicdb-serve}
+MAGICDB=${1:-./build/magicdb}
 CLI=${2:-./build/magicdb-cli}
 
 WORK=$(mktemp -d)
@@ -40,7 +40,7 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 EOF
 
 # Port 0 binds an ephemeral port; the server prints the endpoint it chose.
-"$SERVE" --port 0 --stats "$WORK/ancestor.dl" > "$WORK/serve.log" 2>&1 &
+"$MAGICDB" serve --port 0 --stats "$WORK/ancestor.dl" > "$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 
 PORT=
@@ -69,6 +69,14 @@ grep -q 'adornment=bf' "$WORK/prepare.head" \
 # 4-node chain has 3 answers.
 rows=$(run query "anc(c0, Y)" | wc -l)
 [ "$rows" -eq 3 ] || fail "expected 3 rows before the write, got $rows"
+
+# A request probes the AnswerCache once, so that one cold query on the
+# fresh server reads as one request-level miss in the STATS summary (the
+# head line, which the cli prints on stderr).
+"$CLI" --port "$PORT" stats 2> "$WORK/cold.head" > /dev/null \
+  || fail "stats rejected"
+grep -q '0 hit(s), 1 miss(es)' "$WORK/cold.head" \
+  || fail "one cold query did not read as exactly one AnswerCache miss"
 
 # A repeated variable restricts the answers to the diagonal: the chain is
 # acyclic, so anc(X, X) has none (the six anc pairs are not answers).

@@ -82,6 +82,17 @@ size_t QueryService::FormKeyHash::operator()(const FormKey& key) const {
   return HashCombine(h, std::hash<std::string>{}(key.sip));
 }
 
+obs::MetricsRegistry::Labels QueryService::FormKey::Labels(
+    const Universe& u) const {
+  // The adornment is the pattern's ground positions (QueryAdornment).
+  std::string form = u.symbols().Name(u.predicates().info(pred).name) + "/";
+  for (int entry : pattern) form += entry == kGroundArg ? 'b' : 'f';
+  return {{"form", std::move(form)},
+          {"strategy", strategy ? StrategyName(*strategy)
+                                : PreparedQueryForm::kSelectionName},
+          {"sip", sip}};
+}
+
 namespace {
 
 /// The AnswerCache tag of a compiled form: its stable address. Forms live
@@ -128,6 +139,12 @@ constexpr RuleCell kRuleCells[] = {
      "generated (top-down)",
      &RuleProfile::delta_rows},
 };
+
+/// Writes a form's {form, strategy, sip} labels as keys of the open
+/// object, so a `forms` entry and a `slow_queries` entry name a form alike.
+void WriteLabels(JsonWriter& w, const obs::MetricsRegistry::Labels& labels) {
+  for (const auto& [name, value] : labels) w.Key(name).String(value);
+}
 
 /// Renders a bound-value seed for the slow-query log ("c3", "a b", ...).
 std::string SeedToString(const Universe& u, const std::vector<TermId>& seed) {
@@ -230,6 +247,7 @@ QueryService::CachedForm* QueryService::GetOrCompile(
   Result<PreparedQueryForm> form =
       PreparedQueryForm::Prepare(program_, request.query, engine_options);
   CachedForm& cached = forms_[key];
+  cached.labels = key.Labels(*program_.universe());
   if (!form.ok()) {
     cached.error = form.status();
     return &cached;
@@ -239,7 +257,7 @@ QueryService::CachedForm* QueryService::GetOrCompile(
     const obs::Span span{obs::Stage::kCompile, compile_start,
                          obs::Trace::NowNs()};
     compile_latency_->Record(span.end_ns - span.start_ns);
-    if (compile_span != nullptr) *compile_span = span;
+    *compile_span = span;
   }
   cached.form = std::make_unique<PreparedQueryForm>(std::move(*form));
 
@@ -247,13 +265,7 @@ QueryService::CachedForm* QueryService::GetOrCompile(
   // metrics mutex ranks above it, so the nesting is legal). One-time cost
   // per form; the serving paths only Add()/Record() through the pointers.
   // Every cell carries the full form key, so two forms never share one.
-  const Universe& u = *program_.universe();
-  cached.form_label = u.symbols().Name(u.predicates().info(key.pred).name) +
-                      "/" + cached.form->adornment().ToString();
-  const obs::MetricsRegistry::Labels form_labels{
-      {"form", cached.form_label},
-      {"strategy", cached.form->strategy_name()},
-      {"sip", key.sip}};
+  const obs::MetricsRegistry::Labels& form_labels = cached.labels;
   cached.queries = metrics_.GetCounter(
       "magicdb_form_queries", form_labels,
       "Instances served per compiled form (evaluated or cache-served)");
@@ -316,30 +328,6 @@ QueryAnswer QueryService::DeadlineShedAnswer() const {
   return answer;
 }
 
-bool QueryService::TryServeCached(CachedForm* cached,
-                                  const std::vector<TermId>& bound_values,
-                                  const QueryLimits& limits,
-                                  const AnswerSink& sink,
-                                  const Completion& done) {
-  // Instances with a malformed seed must flow to Answer() for its error
-  // reporting; they can never have been cached (fills follow successful
-  // evaluations only).
-  if (bound_values.size() != cached->form->bound_arity()) return false;
-  // The probe keys by the current version number (one lock-free counter
-  // load, no pin, no shared_ptr traffic) and needs no write fence: a hit
-  // keyed at version V is the complete answer for V, and serving it while
-  // version V+1 publishes concurrently is linearizable — the request
-  // overlapped the write. Post-write reads are still never stale, because
-  // a publish happens-before ApplyWrites returns, so a request submitted
-  // after the write probes at >= V+1 and misses every older entry.
-  std::shared_ptr<const AnswerCache::Tuples> tuples =
-      cache_.Get(CacheTag(cached->form.get()), bound_values,
-                 versions_.current_version());
-  if (tuples == nullptr) return false;
-  ServeHit(cached, std::move(tuples), limits, sink, done);
-  return true;
-}
-
 void QueryService::ServeHit(CachedForm* cached,
                             std::shared_ptr<const AnswerCache::Tuples> tuples,
                             const QueryLimits& limits, const AnswerSink& sink,
@@ -357,7 +345,7 @@ void QueryService::ServeHit(CachedForm* cached,
   if (limit_hit) serve = static_cast<size_t>(limits.row_limit);
   if (sink) {
     // The sink sees one decoded tuple at a time; it never stops the decode
-    // (see Dispatch).
+    // (see DispatchForm).
     tuples->Decode(serve, sink);
   } else {
     answer.tuples.reserve(serve);
@@ -382,11 +370,20 @@ void QueryService::ServeHit(CachedForm* cached,
   done(std::move(answer));
 }
 
-void QueryService::DispatchForm(CachedForm* cached,
-                                std::vector<TermId> bound_values,
-                                QueryLimits limits, AnswerSink sink,
-                                bool enforce_admission, Completion done,
-                                obs::Span compile_span) {
+void QueryService::DispatchForm(Instance instance, AnswerSink sink,
+                                bool enforce_admission, Completion done) {
+  CachedForm* cached = instance.cached;
+  if (cached == nullptr || cached->form == nullptr) {
+    QueryAnswer answer;
+    answer.status = cached == nullptr ? instance.error : cached->error;
+    answer.outcome = AnswerStatus::kError;
+    if (cached != nullptr) answer.strategy_name = cached->labels[1].second;
+    queries_served_->Add();
+    done(std::move(answer));
+    return;
+  }
+  std::vector<TermId>& bound_values = instance.bound_values;
+  QueryLimits& limits = instance.limits;
   // The admission anchor: the deadline and the recorded latency both count
   // from here, so queue wait counts toward each. A request with no time
   // left is shed BEFORE the cache probe, whether the answer would have been
@@ -405,21 +402,29 @@ void QueryService::DispatchForm(CachedForm* cached,
   const bool obs_on = options_.obs.enabled;
   const uint64_t t_anchor = obs_on ? ToNs(admitted) : 0;
 
-  // The inline probe needs no pin: a hit at version V is V's complete
-  // answer (see TryServeCached), and a miss just flows to the worker path,
-  // which pins a full snapshot.
+  // The request's one cache probe, at the current version number: no pin
+  // and no write fence. A hit keyed at V is V's complete answer, and
+  // serving it while V+1 publishes is linearizable (the request overlapped
+  // the write); a publish happens-before ApplyWrites returns, so a later
+  // request probes at >= V+1. A malformed seed, never cached, skips the
+  // probe and flows to Answer() for its error report.
   const uint64_t probe_start = obs_on ? obs::Trace::NowNs() : 0;
-  if (cache_.enabled() &&
-      TryServeCached(cached, bound_values, limits, sink, done)) {
-    // Warm hit: completed inline — no worker, no admission slot, and no
-    // Trace allocation. Two histogram cells record it, under the form's
-    // distinct `cache_inline` stage.
-    if (obs_on) {
-      const uint64_t now = obs::Trace::NowNs();
-      cached->inline_latency->Record(now - t_anchor);
-      request_latency_->Record(now - t_anchor);
+  if (cache_.enabled() && bound_values.size() == cached->form->bound_arity()) {
+    std::shared_ptr<const AnswerCache::Tuples> tuples =
+        cache_.Get(CacheTag(cached->form.get()), bound_values,
+                   versions_.current_version());
+    if (tuples != nullptr) {
+      // Warm hit: completed inline — no worker, no admission slot, and no
+      // Trace allocation. Two histogram cells record it, under the form's
+      // distinct `cache_inline` stage.
+      ServeHit(cached, std::move(tuples), limits, sink, done);
+      if (obs_on) {
+        const uint64_t now = obs::Trace::NowNs();
+        cached->inline_latency->Record(now - t_anchor);
+        request_latency_->Record(now - t_anchor);
+      }
+      return;
     }
-    return;
   }
   const uint64_t probe_end = obs_on ? obs::Trace::NowNs() : 0;
 
@@ -430,16 +435,16 @@ void QueryService::DispatchForm(CachedForm* cached,
 
   // Cold path: the request will occupy a worker, so a per-request Trace
   // is worth its one small allocation. Spans recorded so far: admission
-  // (anchor -> probe) and the inline cache probe; the compile span rides
-  // in from the request tier when this request actually compiled.
+  // (anchor -> probe) and the cache probe; the compile span rides in from
+  // the request tier when this request actually compiled.
   std::shared_ptr<obs::Trace> trace;
   uint64_t t_submit = 0;
   if (obs_on) {
     trace = std::make_shared<obs::Trace>();
     trace->Record(obs::Stage::kAdmit, t_anchor, probe_start);
-    if (compile_span.end_ns != 0) {
-      trace->Record(obs::Stage::kCompile, compile_span.start_ns,
-                    compile_span.end_ns);
+    if (instance.compile_span.end_ns != 0) {
+      trace->Record(obs::Stage::kCompile, instance.compile_span.start_ns,
+                    instance.compile_span.end_ns);
     }
     trace->Record(obs::Stage::kCacheProbe, probe_start, probe_end);
     t_submit = obs::Trace::NowNs();
@@ -460,22 +465,6 @@ void QueryService::DispatchForm(CachedForm* cached,
       queries_served_->Add();
       pending_.fetch_sub(1, std::memory_order_relaxed);
       done(DeadlineShedAnswer());
-      return;
-    }
-    // Second chance: a fill that completed while this request sat in the
-    // pool queue serves it now, so a burst of repeated seeds evaluates at
-    // most once per worker, not once per repeat. Like the inline probe it
-    // needs no pin; it takes only the cache shard locks.
-    if (cache_.enabled() &&
-        TryServeCached(cached, bound_values, limits, sink, done)) {
-      if (trace != nullptr) {
-        // Served by another request's fill while queued: latency-wise this
-        // is a cache serve, so it records as cache_inline, not eval.
-        const uint64_t now = obs::Trace::NowNs();
-        cached->inline_latency->Record(now - t_anchor);
-        request_latency_->Record(now - t_anchor);
-      }
-      pending_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
     // Pin a snapshot for the whole evaluation: a pointer copy under the
@@ -559,7 +548,7 @@ void QueryService::DispatchForm(CachedForm* cached,
       request_latency_->Record(total);
       if (total >= options_.obs.slow_query_ns) {
         obs::SlowQuery slow;
-        slow.form = cached->form_label;
+        slow.form = cached->labels;
         slow.seed = SeedToString(*program_.universe(), bound_values);
         slow.total_ns = total;
         slow.spans = trace->spans();
@@ -571,103 +560,77 @@ void QueryService::DispatchForm(CachedForm* cached,
   });
 }
 
-void QueryService::Dispatch(const QueryRequest& request, AnswerSink sink,
-                            bool enforce_admission, Completion done) {
-  // Checked before the form key is built: a compound goal argument would
-  // otherwise share the key (and the cached plan) of a plain variable.
-  if (Status st = CheckQueryArgs(*program_.universe(), request.query);
-      !st.ok()) {
-    QueryAnswer answer;
-    answer.status = std::move(st);
-    answer.outcome = AnswerStatus::kError;
-    queries_served_->Add();
-    done(std::move(answer));
-    return;
-  }
+QueryService::Instance QueryService::Resolve(const QueryRequest& request) {
+  Instance instance;
   // Every query — base or derived, any strategy — resolves to a compiled
-  // form; a base-predicate query's form is a selection.
-  const FormKey key = MakeKey(request);
-  obs::Span compile_span{};
-  CachedForm* cached = GetOrCompile(request, key, &compile_span);
-  if (cached->form == nullptr) {
-    QueryAnswer answer;
-    answer.status = cached->error;
-    answer.outcome = AnswerStatus::kError;
-    answer.strategy_name = key.strategy ? StrategyName(*key.strategy)
-                                        : PreparedQueryForm::kSelectionName;
-    queries_served_->Add();
-    done(std::move(answer));
-    return;
+  // form; a base-predicate query's form is a selection. A goal argument
+  // that is neither ground nor a variable is refused first: it would
+  // share a plain variable's key, and so its compiled form.
+  instance.error = CheckQueryArgs(*program_.universe(), request.query);
+  if (instance.error.ok()) {
+    instance.cached =
+        GetOrCompile(request, MakeKey(request), &instance.compile_span);
   }
+  instance.bound_values = QueryBoundArgs(*program_.universe(), request.query);
+  instance.limits = request.limits;
+  return instance;
+}
 
-  DispatchForm(cached, QueryBoundArgs(*program_.universe(), request.query),
-               request.limits, std::move(sink), enforce_admission,
-               std::move(done), compile_span);
+QueryService::Instance QueryService::Resolve(const FormHandle& handle,
+                                             std::vector<TermId> bound_values,
+                                             QueryLimits limits) {
+  return {.cached = handle.cached_,
+          .error = handle.valid()
+                       ? Status::OK()
+                       : Status::InvalidArgument("invalid form handle"),
+          .bound_values = std::move(bound_values),
+          .limits = std::move(limits),
+          .compile_span = {}};
 }
 
 Result<QueryService::FormHandle> QueryService::Prepare(
     const QueryRequest& request) {
-  if (Status st = CheckQueryArgs(*program_.universe(), request.query);
-      !st.ok()) {
-    return st;
-  }
-  CachedForm* cached = GetOrCompile(request, MakeKey(request));
-  if (cached->form == nullptr) return cached->error;
+  const Instance instance = Resolve(request);
+  if (instance.cached == nullptr) return instance.error;
+  if (instance.cached->form == nullptr) return instance.cached->error;
   FormHandle handle;
-  handle.cached_ = cached;
+  handle.cached_ = instance.cached;
   return handle;
 }
 
-std::future<QueryAnswer> QueryService::SubmitImpl(const QueryRequest& request,
+std::future<QueryAnswer> QueryService::SubmitImpl(Instance instance,
                                                   bool enforce_admission) {
   auto promise = std::make_shared<std::promise<QueryAnswer>>();
   std::future<QueryAnswer> future = promise->get_future();
-  Dispatch(request, {}, enforce_admission,
-           [promise](QueryAnswer answer) {
-             promise->set_value(std::move(answer));
-           });
-  return future;
-}
-
-std::future<QueryAnswer> QueryService::SubmitImpl(
-    const FormHandle& handle, std::vector<TermId> bound_values,
-    QueryLimits limits, bool enforce_admission) {
-  auto promise = std::make_shared<std::promise<QueryAnswer>>();
-  std::future<QueryAnswer> future = promise->get_future();
-  if (!handle.valid()) {
-    QueryAnswer answer;
-    answer.status = Status::InvalidArgument("invalid form handle");
-    answer.outcome = AnswerStatus::kError;
-    promise->set_value(std::move(answer));
-    return future;
-  }
-  DispatchForm(handle.cached_, std::move(bound_values), std::move(limits),
-               {}, enforce_admission, [promise](QueryAnswer answer) {
+  DispatchForm(std::move(instance), {}, enforce_admission,
+               [promise](QueryAnswer answer) {
                  promise->set_value(std::move(answer));
                });
   return future;
 }
 
 std::future<QueryAnswer> QueryService::Submit(const QueryRequest& request) {
-  return SubmitImpl(request, /*enforce_admission=*/false);
+  return SubmitImpl(Resolve(request), /*enforce_admission=*/false);
 }
 
 std::future<QueryAnswer> QueryService::Submit(
     const FormHandle& handle, std::vector<TermId> bound_values,
     QueryLimits limits) {
-  return SubmitImpl(handle, std::move(bound_values), std::move(limits),
-                    /*enforce_admission=*/false);
+  return SubmitImpl(
+      Resolve(handle, std::move(bound_values), std::move(limits)),
+      /*enforce_admission=*/false);
 }
 
 std::future<QueryAnswer> QueryService::TrySubmit(const QueryRequest& request) {
-  return SubmitImpl(request, /*enforce_admission=*/true);
+  return SubmitImpl(Resolve(request), /*enforce_admission=*/true);
 }
 
 std::future<QueryAnswer> QueryService::TrySubmit(
     const FormHandle& handle, std::vector<TermId> bound_values,
     QueryLimits limits) {
-  return SubmitImpl(handle, std::move(bound_values), std::move(limits),
-                    /*enforce_admission=*/true);
+  return SubmitImpl(
+      Resolve(handle, std::move(bound_values), std::move(limits)),
+      /*enforce_admission=*/true);
 }
 
 QueryAnswer QueryService::Answer(const QueryRequest& request) {
@@ -680,14 +643,13 @@ QueryAnswer QueryService::Answer(const FormHandle& handle,
   return Submit(handle, std::move(bound_values), std::move(limits)).get();
 }
 
-std::shared_ptr<AnswerCursor::State> QueryService::MakeStreamState(
-    QueryLimits* limits, AnswerSink* sink, Completion* done) {
+AnswerCursor QueryService::StreamImpl(Instance instance) {
   auto state = std::make_shared<AnswerCursor::State>();
-  if (limits->cancel == nullptr) {
-    limits->cancel = std::make_shared<std::atomic<bool>>(false);
+  if (instance.limits.cancel == nullptr) {
+    instance.limits.cancel = std::make_shared<std::atomic<bool>>(false);
   }
-  state->cancel = limits->cancel;
-  *sink = [state](const std::vector<TermId>& tuple) {
+  state->cancel = instance.limits.cancel;
+  AnswerSink sink = [state](const std::vector<TermId>& tuple) {
     {
       MutexLock lock(state->mutex);
       state->buffer.push_back(tuple);
@@ -695,7 +657,7 @@ std::shared_ptr<AnswerCursor::State> QueryService::MakeStreamState(
     state->ready.notify_all();
     return true;
   };
-  *done = [state](QueryAnswer answer) {
+  Completion done = [state](QueryAnswer answer) {
     // Sink-fed answers arrive with empty tuples (the AnswerSink contract:
     // everything was streamed); the clear covers inline error paths that
     // never evaluated.
@@ -707,35 +669,20 @@ std::shared_ptr<AnswerCursor::State> QueryService::MakeStreamState(
     }
     state->ready.notify_all();
   };
-  return state;
+  DispatchForm(std::move(instance), std::move(sink),
+               /*enforce_admission=*/false, std::move(done));
+  return AnswerCursor(std::move(state));
 }
 
 AnswerCursor QueryService::Stream(const QueryRequest& request) {
-  QueryRequest streamed = request;
-  AnswerSink sink;
-  Completion done;
-  auto state = MakeStreamState(&streamed.limits, &sink, &done);
-  Dispatch(streamed, std::move(sink), /*enforce_admission=*/false,
-           std::move(done));
-  return AnswerCursor(std::move(state));
+  return StreamImpl(Resolve(request));
 }
 
 AnswerCursor QueryService::Stream(const FormHandle& handle,
                                   std::vector<TermId> bound_values,
                                   QueryLimits limits) {
-  AnswerSink sink;
-  Completion done;
-  auto state = MakeStreamState(&limits, &sink, &done);
-  if (!handle.valid()) {
-    QueryAnswer answer;
-    answer.status = Status::InvalidArgument("invalid form handle");
-    answer.outcome = AnswerStatus::kError;
-    done(std::move(answer));
-    return AnswerCursor(std::move(state));
-  }
-  DispatchForm(handle.cached_, std::move(bound_values), std::move(limits),
-               std::move(sink), /*enforce_admission=*/false, std::move(done));
-  return AnswerCursor(std::move(state));
+  return StreamImpl(
+      Resolve(handle, std::move(bound_values), std::move(limits)));
 }
 
 std::vector<QueryAnswer> QueryService::AnswerBatch(
@@ -896,9 +843,7 @@ std::string QueryService::MetricsJson() const {
     for (const auto& [key, cached] : forms_) {
       if (cached.form == nullptr) continue;
       w.BeginObject();
-      w.Key("form").String(cached.form_label);
-      w.Key("strategy").String(cached.form->strategy_name());
-      w.Key("sip").String(key.sip);
+      WriteLabels(w, cached.labels);
       w.Key("rules").BeginArray();
       for (const std::string& rule : cached.form->rule_labels()) {
         w.String(rule);
@@ -911,7 +856,7 @@ std::string QueryService::MetricsJson() const {
   w.Key("slow_queries").BeginArray();
   for (const obs::SlowQuery& slow : slow_log_.Snapshot()) {
     w.BeginObject();
-    w.Key("form").String(slow.form);
+    WriteLabels(w, slow.form);
     w.Key("seed").String(slow.seed);
     w.Key("total_ns").Uint(slow.total_ns);
     w.Key("sequence").Uint(slow.sequence);

@@ -126,10 +126,11 @@ class AnswerCursor {
 /// early (row limits, deadlines, cancellation) without affecting any other
 /// instance.
 ///
-/// Two tiers of API:
+/// Two tiers of API, one dispatch path:
 ///   * Request tier: Submit/TrySubmit/Answer/AnswerBatch/Stream take a
-///     QueryRequest, resolve its form through the cache (one mutex
-///     round-trip), compiling on the calling thread if needed.
+///     QueryRequest and resolve its form through the lookup Prepare uses
+///     (one form-cache mutex round-trip), compiling on the calling thread
+///     if needed.
 ///   * Handle tier: Prepare returns a FormHandle; the Submit/TrySubmit/
 ///     Answer/Stream overloads taking a handle skip form hashing and the
 ///     cache mutex entirely — the steady-state hot path is one version
@@ -142,10 +143,9 @@ class AnswerCursor {
 /// and makes every earlier entry unreachable, so alternating write/serve
 /// phases never see stale answers. Truncated, deadline-expired, cancelled,
 /// and failed answers are never cached. The cache is the only way answers
-/// are reused: a miss evaluates.
-/// A worker re-probes the cache when it picks a request up, so a request
-/// whose identical twin filled the cache while it sat in the pool queue is
-/// served from that fill.
+/// are reused: a request probes it once, at dispatch, and a miss
+/// evaluates — N identical cold requests queued at once evaluate N times
+/// (max_pending bounds how many queue).
 ///
 /// The EDB is not frozen for the service's lifetime: ApplyWrites is its
 /// one mutation point, and it never waits for readers. It takes a FIFO
@@ -258,10 +258,7 @@ class QueryService {
                                      std::vector<TermId> bound_values,
                                      QueryLimits limits = {});
 
-  /// Answers one request synchronously. (The old pre-handle
-  /// `Answer(const Query&)` shim is gone: callers build a QueryRequest —
-  /// which is where limits/strategy overrides belong — or use the handle
-  /// tier below. Both funnel through the same SubmitImpl.)
+  /// Answers one request synchronously: Submit(...).get().
   QueryAnswer Answer(const QueryRequest& request);
   QueryAnswer Answer(const FormHandle& handle,
                      std::vector<TermId> bound_values,
@@ -307,9 +304,11 @@ class QueryService {
   /// METRICS wire verbs, benches) reads. Per-form and per-rule cells are
   /// not copied here: they live only in the registry, labelled by the
   /// full form key {form, strategy, sip}, and MetricsJson()/MetricsText()
-  /// render them. Naming contract: `form_cache_hits` counts request-tier
-  /// lookups that found an already-compiled form; `answer_cache` holds
-  /// the raw AnswerCache counters (exact hits/misses/evictions/bytes);
+  /// render them. Naming contract: `form_cache_hits` counts lookups
+  /// (Prepare and the request tier) that found an already-compiled form;
+  /// `answer_cache` holds the raw AnswerCache counters, and since a
+  /// request probes the cache at most once, its hits and misses count
+  /// requests (a request shed on its deadline at dispatch never probes);
   /// `answers_from_cache` counts requests answered without evaluation,
   /// and every such request still counts in `queries_served` and in its
   /// form's `magicdb_form_queries` cell.
@@ -387,6 +386,10 @@ class QueryService {
     std::optional<Strategy> strategy;
     std::string sip;
     bool operator==(const FormKey&) const = default;
+
+    /// The form's one name, {form, strategy, sip}: "pred/adornment", the
+    /// strategy name (`selection` for a selection form) and the sip.
+    obs::MetricsRegistry::Labels Labels(const Universe& u) const;
   };
   struct FormKeyHash {
     size_t operator()(const FormKey& key) const;
@@ -401,7 +404,10 @@ class QueryService {
   struct CachedForm {
     std::unique_ptr<PreparedQueryForm> form;  // null when compilation failed
     Status error;
-    std::string form_label;  // "pred/adornment", the metric `form` label
+    /// FormKey::Labels, built once in GetOrCompile (failed compiles too).
+    /// Every per-form and per-rule cell, the STATS `forms` entry, each
+    /// slow-query entry and the error answer's strategy name read them.
+    obs::MetricsRegistry::Labels labels;
     obs::Counter* queries = nullptr;
     obs::Counter* rows = nullptr;
     obs::Counter* truncated = nullptr;
@@ -418,6 +424,20 @@ class QueryService {
 
   using Completion = std::function<void(QueryAnswer)>;
 
+  /// One request resolved to its form: what every public entry point hands
+  /// DispatchForm. `cached` is null when there is no form — an invalid
+  /// handle, or a goal CheckQueryArgs refused — and `error` says why; a
+  /// form whose compile failed is a CachedForm with a null `form`.
+  struct Instance {
+    CachedForm* cached = nullptr;
+    Status error;
+    std::vector<TermId> bound_values;
+    QueryLimits limits;
+    /// The compile interval when this request compiled its form
+    /// (end_ns != 0), recorded into the request's trace.
+    obs::Span compile_span;
+  };
+
   FormKey MakeKey(const QueryRequest& request) const;
 
   /// Looks up or compiles the form for `request`. Never returns null; a
@@ -425,12 +445,17 @@ class QueryService {
   /// writes only into the plan's Universe overlay, so this holds only
   /// form_mutex_ — no universe/serve lock (the metrics mutex it takes to
   /// register the form's instruments ranks above form_mutex_, a legal
-  /// nesting). A call that compiles records magicdb_compile_latency_ns
-  /// and, with `compile_span` (optional), reports the compile as a span
-  /// so the request tier can attach it; both only when obs is enabled.
+  /// nesting). With obs enabled, a call that compiles records
+  /// magicdb_compile_latency_ns and the compile's `*compile_span`.
   CachedForm* GetOrCompile(const QueryRequest& request, const FormKey& key,
-                           obs::Span* compile_span = nullptr)
-      EXCLUDES(form_mutex_);
+                           obs::Span* compile_span) EXCLUDES(form_mutex_);
+
+  /// The one form lookup, shared by Prepare and the request tier:
+  /// CheckQueryArgs, then GetOrCompile of MakeKey(request).
+  Instance Resolve(const QueryRequest& request);
+  static Instance Resolve(const FormHandle& handle,
+                          std::vector<TermId> bound_values,
+                          QueryLimits limits);
 
   /// Reserves one admission slot. Returns false (and leaves no slot taken)
   /// when `enforce_admission` and the bounded queue is full.
@@ -438,38 +463,19 @@ class QueryService {
   QueryAnswer OverloadedAnswer() const;
   QueryAnswer DeadlineShedAnswer() const;
 
-  /// Resolves `request`'s form on the calling thread (form cache) and
-  /// dispatches its evaluation; `done` is invoked exactly once with the
-  /// final answer — inline for compile errors, admission rejections, and
-  /// answer-cache hits, from a worker otherwise. `sink` is empty or
-  /// MakeStreamState's cursor sink, which always returns true: no sink
-  /// here stops an answer early (a cursor stops one by cancelling).
-  void Dispatch(const QueryRequest& request, AnswerSink sink,
-                bool enforce_admission, Completion done);
-
-  /// The handle hot path: an answer-cache probe, then (on a miss) pool
-  /// dispatch — the worker re-probes the cache, then pins the current
-  /// database version and evaluates against that snapshot; clean complete
-  /// answers fill the cache on the way out, and the pin is dropped before
-  /// the answer is fulfilled. The request is admitted (and
-  /// its deadline anchored) on entry, so queue wait counts against it.
-  /// `compile_span` (end_ns != 0 when present) is the request-tier
-  /// compile interval, recorded into the trace when one is allocated.
-  /// `sink` is as in Dispatch: it never returns false.
-  void DispatchForm(CachedForm* cached, std::vector<TermId> bound_values,
-                    QueryLimits limits, AnswerSink sink,
-                    bool enforce_admission, Completion done,
-                    obs::Span compile_span = {});
-
-  /// Serves `cached`'s instance from the AnswerCache on an exact-key hit
-  /// at the chain's current version number. No fence is needed — a hit
-  /// keyed at version V is the complete answer for V, and serving it while
-  /// V+1 publishes concurrently is linearizable (the request overlapped
-  /// the write). Returns true when `done` was invoked.
-  bool TryServeCached(CachedForm* cached,
-                      const std::vector<TermId>& bound_values,
-                      const QueryLimits& limits,
-                      const AnswerSink& sink, const Completion& done);
+  /// The one dispatch path of both tiers; `done` is invoked exactly once
+  /// with the final answer. An instance without a form completes inline
+  /// with a kError answer. Otherwise the request is admitted (and its
+  /// deadline anchored) on entry, so queue wait counts against it, and
+  /// probes the AnswerCache once: a hit is served inline, a miss goes to
+  /// the pool, where a worker pins the current database version and
+  /// evaluates against that snapshot; clean complete answers fill the
+  /// cache on the way out, and the pin is dropped before the answer is
+  /// fulfilled. `sink` is empty or the cursor sink, which always returns
+  /// true: no sink here stops an answer early (a cursor stops one by
+  /// cancelling).
+  void DispatchForm(Instance instance, AnswerSink sink,
+                    bool enforce_admission, Completion done);
 
   /// Completes a request from a cached tuple set: applies the row limit,
   /// decodes `tuples` front to back into the sink (streaming) or into the
@@ -480,17 +486,11 @@ class QueryService {
                 const QueryLimits& limits, const AnswerSink& sink,
                 const Completion& done);
 
-  std::future<QueryAnswer> SubmitImpl(const QueryRequest& request,
+  std::future<QueryAnswer> SubmitImpl(Instance instance,
                                       bool enforce_admission);
-  std::future<QueryAnswer> SubmitImpl(const FormHandle& handle,
-                                      std::vector<TermId> bound_values,
-                                      QueryLimits limits,
-                                      bool enforce_admission);
-
-  /// Builds the shared cursor state plus the sink/completion pair that
-  /// feeds it, injecting a cancellation token into `*limits` if absent.
-  static std::shared_ptr<AnswerCursor::State> MakeStreamState(
-      QueryLimits* limits, AnswerSink* sink, Completion* done);
+  /// Streams `instance` into a new cursor, injecting a cancellation token
+  /// into its limits if absent.
+  AnswerCursor StreamImpl(Instance instance);
 
   /// Sets the scrape-time gauges — pending depth, the AnswerCache's
   /// counters and occupancy, and the version chain's counters — from
@@ -547,7 +547,7 @@ class QueryService {
   obs::Histogram* request_latency_ = nullptr;
   /// Per-batch version build+publish time (ticket redeemed -> published).
   obs::Histogram* write_publish_ = nullptr;
-  /// Request-tier form compilation time.
+  /// Form compilation time.
   obs::Histogram* compile_latency_ = nullptr;
   /// Live queue depth of writers waiting for their commit ticket
   /// (maintained on the write path: +1 on arrival, -1 on redemption).

@@ -10,9 +10,8 @@ namespace magic {
 namespace net {
 
 /// Everything a serving process needs to come up: the program to load,
-/// the service configuration, and the listening endpoint. Shared by
-/// `magicdb serve` and the standalone magicdb-serve binary so the two
-/// front-ends cannot drift.
+/// the service configuration, and the listening endpoint. `magicdb serve`
+/// fills it from its own flag parser.
 struct ServeBootstrap {
   std::string program_path;
   std::string facts_dir;  // optional <pred>.facts directory

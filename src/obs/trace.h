@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/annotated_mutex.h"
@@ -30,7 +31,7 @@ namespace obs {
 /// The stages of one request's life, in pipeline order.
 enum class Stage {
   kAdmit,       // admission control (pending slot, overload check)
-  kCacheProbe,  // AnswerCache probe (inline or worker second-chance)
+  kCacheProbe,  // the request's one AnswerCache probe, at dispatch
   kQueueWait,   // submitted to the pool -> worker picked it up
   kCompile,     // form compilation (first request on a form pays it)
   kFixpoint,    // evaluation proper (seminaive/topdown engine run)
@@ -68,7 +69,9 @@ class Trace {
 
 /// One slow request, frozen for the ring.
 struct SlowQuery {
-  std::string form;      // "pred/adornment" label of the served form
+  // The served form's {form, strategy, sip} labels, as on its registry
+  // cells and its STATS `forms` entry.
+  std::vector<std::pair<std::string, std::string>> form;
   std::string seed;      // rendered bound values ("c3", "a b", ...)
   uint64_t total_ns = 0;
   uint64_t sequence = 0;  // monotonically increasing capture id

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -366,6 +368,40 @@ TEST(MetricsServiceTest, EndToEndObservability) {
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"slow_queries\""), std::string::npos);
+
+  // A slow entry names exactly one form. Answer anc/bf under gms/full and
+  // gms/chain too, two more forms of the same predicate and adornment;
+  // each slow entry's {form, strategy, sip} must then match exactly one
+  // `forms` entry.
+  for (const char* sip : {"full", "chain"}) {
+    QueryRequest other = request;
+    other.strategy = Strategy::kMagic;
+    other.sip = sip;
+    ASSERT_TRUE(service.Answer(other).status.ok());
+  }
+  const std::string labelled = service.MetricsJson();
+  const size_t slow_at = labelled.find("\"slow_queries\":");
+  ASSERT_NE(slow_at, std::string::npos);
+  const std::string forms = labelled.substr(0, slow_at);
+  const std::regex slow_labels(
+      R"(\{"form":"[^"]*","strategy":"[^"]*","sip":"[^"]*")");
+  std::set<std::string> named;
+  for (auto it = std::sregex_iterator(labelled.begin() + slow_at,
+                                      labelled.end(), slow_labels);
+       it != std::sregex_iterator(); ++it) {
+    const std::string entry = it->str() + ",\"rules\":[";
+    size_t matches = 0;
+    for (size_t at = forms.find(entry); at != std::string::npos;
+         at = forms.find(entry, at + 1)) {
+      ++matches;
+    }
+    EXPECT_EQ(matches, 1u) << it->str();
+    named.insert(it->str());
+  }
+  EXPECT_EQ(named, (std::set<std::string>{
+                       R"({"form":"anc/bf","strategy":"gsms","sip":"full")",
+                       R"({"form":"anc/bf","strategy":"gms","sip":"full")",
+                       R"({"form":"anc/bf","strategy":"gms","sip":"chain")"}));
 }
 
 TEST(MetricsServiceTest, PerFormCellsCarryTheFullFormKey) {

@@ -1512,15 +1512,15 @@ TEST(QueryServiceTest, MixedStrategyHammerAcrossEightThreads) {
             static_cast<size_t>(kClients) * kQueriesPerClient);
 }
 
-TEST(QueryServiceTest, SimultaneousIdenticalMissesEvaluateOnce) {
-  // Identical misses in flight at once fill the AnswerCache once. A worker
-  // fills the cache before it dequeues its next request and re-probes the
-  // cache on dequeue, so each worker evaluates at most one of the
-  // duplicates; every other one is served from a fill.
+TEST(QueryServiceTest, EachRequestProbesTheAnswerCacheOnce) {
+  // A request probes the AnswerCache once, at dispatch, through either
+  // tier: K cold distinct-seed requests count K misses and no hits, and
+  // repeating them counts K hits and no further misses. So the cache's
+  // hits and misses count requests, not probes.
   Workload w = MakeAncestorChain(64);
   Universe& u = *w.universe;
   QueryServiceOptions options;
-  options.num_threads = 8;
+  options.num_threads = 4;
   QueryService service(w.program, w.db, options);
 
   QueryRequest exemplar;
@@ -1528,24 +1528,42 @@ TEST(QueryServiceTest, SimultaneousIdenticalMissesEvaluateOnce) {
   auto handle = service.Prepare(exemplar);
   ASSERT_TRUE(handle.ok());
 
-  constexpr int kDuplicates = 16;
-  std::vector<std::future<QueryAnswer>> futures;
-  for (int i = 0; i < kDuplicates; ++i) {
-    futures.push_back(service.Submit(*handle, {u.Constant("c0")}));
-  }
-  size_t evaluated = 0;
-  for (std::future<QueryAnswer>& future : futures) {
-    QueryAnswer answer = future.get();
-    ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
-    EXPECT_EQ(answer.tuples.size(), 63u);
-    if (!answer.from_cache) ++evaluated;
-  }
-  EXPECT_GE(evaluated, 1u);
-  EXPECT_LE(evaluated, options.num_threads);
-  QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.answer_cache.inserts, 1u);  // first fill wins
-  EXPECT_EQ(stats.answers_from_cache, kDuplicates - evaluated);
-  EXPECT_EQ(stats.queries_served, static_cast<size_t>(kDuplicates));
+  // Seeds c0..c7 through the handle tier, c8..c15 through the request
+  // tier, all in flight at once.
+  constexpr size_t kPerTier = 8;
+  auto submit_all = [&] {
+    std::vector<std::future<QueryAnswer>> futures;
+    for (size_t i = 0; i < 2 * kPerTier; ++i) {
+      const std::string node = "c" + std::to_string(i);
+      if (i < kPerTier) {
+        futures.push_back(service.Submit(*handle, {u.Constant(node)}));
+      } else {
+        QueryRequest request;
+        request.query = InstanceAt(w, node);
+        futures.push_back(service.Submit(request));
+      }
+    }
+    size_t from_cache = 0;
+    for (size_t i = 0; i < futures.size(); ++i) {
+      QueryAnswer answer = futures[i].get();
+      EXPECT_TRUE(answer.status.ok()) << answer.status.ToString();
+      EXPECT_EQ(answer.tuples.size(), 63 - i);
+      if (answer.from_cache) ++from_cache;
+    }
+    return from_cache;
+  };
+
+  EXPECT_EQ(submit_all(), 0u);
+  AnswerCache::Stats cold = service.stats().answer_cache;
+  EXPECT_EQ(cold.misses, 2 * kPerTier);
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_EQ(cold.inserts, 2 * kPerTier);
+
+  EXPECT_EQ(submit_all(), 2 * kPerTier);
+  AnswerCache::Stats warm = service.stats().answer_cache;
+  EXPECT_EQ(warm.misses, 2 * kPerTier);
+  EXPECT_EQ(warm.hits, 2 * kPerTier);
+  EXPECT_EQ(service.stats().queries_served, 4 * kPerTier);
 }
 
 TEST(QueryServiceTest, QueuedDuplicatesKeepTheirDeadlineAndAdmissionSlot) {
@@ -1554,7 +1572,7 @@ TEST(QueryServiceTest, QueuedDuplicatesKeepTheirDeadlineAndAdmissionSlot) {
   //  1. the queued duplicate holds its admission slot, so max_pending
   //     backpressure counts it and TrySubmit sheds further load;
   //  2. its deadline stays anchored at its own submission — when the
-  //     leader completes without a cache fill, the duplicate is shed
+  //     worker picks it up after the leader, the duplicate is shed
   //     kDeadlineExceeded instead of evaluating.
   Workload w = MakeAncestorCycle(48);
   QueryServiceOptions options;
@@ -1590,9 +1608,9 @@ TEST(QueryServiceTest, QueuedDuplicatesKeepTheirDeadlineAndAdmissionSlot) {
   divergent.limits.cancel->store(true);
   ASSERT_EQ(leader.get().outcome, AnswerStatus::kCancelled);
 
-  // The leader couldn't fill, so the duplicate's second-chance probe
-  // missed; 50ms of queue wait count against its 5ms deadline: shed, never
-  // evaluated.
+  // The worker checks the duplicate's deadline when it picks it up, before
+  // anything else: 50ms of queue wait count against its 5ms deadline, so
+  // it is shed, never evaluated.
   QueryAnswer answer = queued.get();
   EXPECT_EQ(answer.outcome, AnswerStatus::kDeadlineExceeded);
   EXPECT_EQ(answer.total_facts, 0u);

@@ -53,7 +53,7 @@ TEST(TraceTest, NowNsIsMonotonic) {
 
 SlowQuery MakeSlow(const std::string& form, uint64_t total_ns) {
   SlowQuery slow;
-  slow.form = form;
+  slow.form = {{"form", form}, {"strategy", "gsms"}, {"sip", "full"}};
   slow.seed = "c0";
   slow.total_ns = total_ns;
   slow.spans.push_back(Span{Stage::kFixpoint, 0, total_ns});
@@ -71,8 +71,8 @@ TEST(SlowQueryLogTest, RingEvictsOldestAtCapacity) {
   ASSERT_EQ(snapshot.size(), 4u);
   // Oldest-first; the first two captures were evicted, sequences keep
   // counting across evictions.
-  EXPECT_EQ(snapshot.front().form, "form2");
-  EXPECT_EQ(snapshot.back().form, "form5");
+  EXPECT_EQ(snapshot.front().form, MakeSlow("form2", 0).form);
+  EXPECT_EQ(snapshot.back().form, MakeSlow("form5", 0).form);
   for (size_t i = 1; i < snapshot.size(); ++i) {
     EXPECT_EQ(snapshot[i].sequence, snapshot[i - 1].sequence + 1);
   }

@@ -47,7 +47,7 @@
 //   --max-connections N      serve: socket-level admission bound
 //
 // Exit codes come from the one shared wire-code table (util/status.h) —
-// the same table magicdb-serve puts on the wire and magicdb-cli turns back
+// the same table `magicdb serve` puts on the wire and magicdb-cli turns back
 // into exit codes: 0 success (hitting --limit included), 1 internal,
 // 2 usage, 3 bad request, 4 deadline expired, 5 cancelled, 6 overloaded,
 // 7 protocol error.
@@ -708,7 +708,7 @@ int RunEval(const Args& args, const ParsedUnit& parsed, Database& db,
 int Run(const Args& args) {
   if (args.cmd == "serve") {
     // serve delegates the whole lifecycle (load, listen, signal-driven
-    // shutdown) to the shared bootstrap that magicdb-serve also uses.
+    // shutdown) to the net bootstrap.
     net::ServeBootstrap bootstrap;
     bootstrap.program_path = args.program_path;
     bootstrap.facts_dir = args.facts_dir;

@@ -1,4 +1,4 @@
-// magicdb-cli — wire client for magicdb-serve.
+// magicdb-cli — wire client for `magicdb serve`.
 //
 //   magicdb-cli [--host H] --port P <command> [words...]
 //
