@@ -46,7 +46,7 @@ SERVER_PID=$!
 PORT=
 tries=0
 while [ -z "$PORT" ]; do
-  PORT=$(sed -n 's/.*listening on [^:]*:\([0-9][0-9]*\).*/\1/p' \
+  PORT=$(sed -n 's/^magicdb serve listening on [^:]*:\([0-9][0-9]*\)$/\1/p' \
          "$WORK/serve.log" 2>/dev/null || true)
   [ -n "$PORT" ] && break
   kill -0 "$SERVER_PID" 2>/dev/null || fail "server died during startup"
@@ -174,7 +174,7 @@ status=0
 wait "$SERVER_PID" || status=$?
 SERVER_PID=
 [ "$status" -eq 0 ] || fail "server exited $status on SIGTERM"
-grep -q 'clean shutdown' "$WORK/serve.log" \
+grep -qx 'magicdb serve: clean shutdown' "$WORK/serve.log" \
   || fail "missing clean-shutdown marker"
 
 printf 'serve_smoke: PASS\n'

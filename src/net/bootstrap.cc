@@ -27,7 +27,7 @@ int ExitFor(const Status& status) {
 int RunServeMain(const ServeBootstrap& config) {
   std::ifstream in(config.program_path);
   if (!in) {
-    std::fprintf(stderr, "magicdb-serve: cannot open %s\n",
+    std::fprintf(stderr, "magicdb serve: cannot open %s\n",
                  config.program_path.c_str());
     return ExitCodeFor(WireCode::kInvalidArgument);
   }
@@ -35,18 +35,18 @@ int RunServeMain(const ServeBootstrap& config) {
   buffer << in.rdbuf();
   auto parsed = ParseUnit(buffer.str());
   if (!parsed.ok()) {
-    std::fprintf(stderr, "magicdb-serve: %s\n",
+    std::fprintf(stderr, "magicdb serve: %s\n",
                  parsed.status().ToString().c_str());
     return ExitFor(parsed.status());
   }
   for (const std::string& warning : ValidateProgram(parsed->program)) {
-    std::fprintf(stderr, "magicdb-serve: warning: %s\n", warning.c_str());
+    std::fprintf(stderr, "magicdb serve: warning: %s\n", warning.c_str());
   }
 
   Database db(parsed->program.universe());
   for (const Fact& fact : parsed->facts) {
     if (Status st = db.AddFact(fact); !st.ok()) {
-      std::fprintf(stderr, "magicdb-serve: %s\n", st.ToString().c_str());
+      std::fprintf(stderr, "magicdb serve: %s\n", st.ToString().c_str());
       return ExitFor(st);
     }
   }
@@ -54,7 +54,7 @@ int RunServeMain(const ServeBootstrap& config) {
     if (Status st =
             LoadFactsDirectory(parsed->program, config.facts_dir, &db);
         !st.ok()) {
-      std::fprintf(stderr, "magicdb-serve: %s\n", st.ToString().c_str());
+      std::fprintf(stderr, "magicdb serve: %s\n", st.ToString().c_str());
       return ExitFor(st);
     }
   }
@@ -63,12 +63,12 @@ int RunServeMain(const ServeBootstrap& config) {
   MagicServer server(parsed->program.universe(), parsed->program, &service,
                      config.server);
   if (Status st = server.Start(); !st.ok()) {
-    std::fprintf(stderr, "magicdb-serve: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "magicdb serve: %s\n", st.ToString().c_str());
     return ExitFor(st);
   }
   // One machine-parseable line; smoke tests and wrappers read the port
   // from it (ephemeral binding is the default).
-  std::printf("magicdb-serve listening on %s:%u\n", server.host().c_str(),
+  std::printf("magicdb serve listening on %s:%u\n", server.host().c_str(),
               static_cast<unsigned>(server.port()));
   std::fflush(stdout);
 
@@ -88,7 +88,7 @@ int RunServeMain(const ServeBootstrap& config) {
   if (config.stats) {
     std::fprintf(stderr, "%% %s\n", service.stats().Summary().c_str());
   }
-  std::printf("magicdb-serve: clean shutdown\n");
+  std::printf("magicdb serve: clean shutdown\n");
   std::fflush(stdout);
   return ExitCodeFor(WireCode::kOk);
 }

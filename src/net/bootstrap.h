@@ -23,10 +23,10 @@ struct ServeBootstrap {
 
 /// Loads the program (+ facts), builds the Database and QueryService,
 /// starts a MagicServer, prints exactly one
-/// `magicdb-serve listening on <host>:<port>` line to stdout (the port is
+/// `magicdb serve listening on <host>:<port>` line to stdout (the port is
 /// real even when 0 was requested — smoke tests parse this line), then
 /// blocks until SIGINT/SIGTERM. Shuts down cleanly: stop accepting, drain
-/// sessions, join threads, print `magicdb-serve: clean shutdown`.
+/// sessions, join threads, print `magicdb serve: clean shutdown`.
 /// Returns a process exit code from the shared wire table.
 int RunServeMain(const ServeBootstrap& config);
 

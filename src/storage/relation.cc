@@ -230,9 +230,11 @@ uint64_t Relation::KeyHashForRow(uint64_t mask, size_t row) const {
 }
 
 size_t Relation::Index::SlotOf(uint64_t hash) const {
+  const uint32_t fingerprint = Fingerprint(hash);
   const size_t mask = entries.size() - 1;
-  size_t slot = HashSlot(hash, shift);
-  while (entries[slot].capacity != 0 && entries[slot].hash != hash) {
+  size_t slot = fingerprint >> shift;
+  while (entries[slot].capacity != 0 &&
+         entries[slot].fingerprint != fingerprint) {
     slot = (slot + 1) & mask;
   }
   return slot;
@@ -252,16 +254,16 @@ Relation::Index::Entry* Relation::Index::Claim(uint64_t hash) {
 void Relation::Index::Append(uint64_t hash, uint32_t row) {
   Entry& e = *Claim(hash);
   if (e.capacity == 0) {
-    e = Entry{hash, arena.AppendRun(1), 0, 1};
+    e = Entry{Fingerprint(hash), NewRun(1), 0, 1};
     ++used;
   } else if (e.size == e.capacity) {
     const uint32_t extra = std::min(e.capacity, UINT32_MAX - e.capacity);
     MAGIC_CHECK(extra > 0);
     const uint32_t capacity = e.capacity + extra;
     // The last list grows in place while it stays in its chunk.
-    if (e.begin + e.capacity != arena.size() ||
+    if (size_t{e.begin} + e.capacity != arena.size() ||
         !arena.ExtendTailRun(e.begin, capacity)) {
-      const size_t moved = arena.AppendRun(capacity);
+      const uint32_t moved = NewRun(capacity);
       uint32_t* to = arena.MutableAt(moved);  // before reading: see Retract
       std::copy_n(arena.At(e.begin), e.size, to);
       e.begin = moved;
@@ -269,6 +271,12 @@ void Relation::Index::Append(uint64_t hash, uint32_t row) {
     e.capacity = capacity;
   }
   arena.MutableAt(e.begin)[e.size++] = row;
+}
+
+uint32_t Relation::Index::NewRun(size_t n) {
+  const size_t begin = arena.AppendRun(n);
+  MAGIC_CHECK(arena.size() <= kMaxArenaUnits);
+  return static_cast<uint32_t>(begin);
 }
 
 void Relation::Index::Reset() {
@@ -280,13 +288,15 @@ void Relation::Index::Reset() {
 void Relation::Index::Grow() {
   const ChunkedArray<Entry> old = std::move(entries);
   const size_t capacity = std::max(kMinSlots, old.size() * 2);
+  // A fingerprint's top bits pick the home slot: at most 2^32 slots.
+  MAGIC_CHECK(capacity <= (size_t{1} << 32));
   entries.Assign(capacity, Entry{});
-  shift = static_cast<uint32_t>(64 - std::countr_zero(capacity));
+  shift = static_cast<uint32_t>(32 - std::countr_zero(capacity));
   const size_t mask = capacity - 1;
   for (size_t i = 0; i < old.size(); ++i) {
     const Entry& e = old[i];
     if (e.capacity == 0) continue;
-    size_t slot = HashSlot(e.hash, shift);
+    size_t slot = e.fingerprint >> shift;
     while (entries[slot].capacity != 0) slot = (slot + 1) & mask;
     *entries.MutableAt(slot) = e;
   }
@@ -313,23 +323,21 @@ void Relation::ExtendIndex(uint64_t mask, Index* index) const {
 
 void Relation::BuildIndex(uint64_t mask, Index* index) const {
   const size_t rows = size();
-  // Pass 1: each key's row count, held in its entry's capacity.
+  // Pass 1: each fingerprint's row count, held in its entry's capacity.
   for (size_t row = 0; row < rows; ++row) {
     const uint64_t hash = KeyHashForRow(mask, row);
     Index::Entry& e = *index->Claim(hash);
     if (e.capacity == 0) {
-      e.hash = hash;
+      e.fingerprint = Index::Fingerprint(hash);
       ++index->used;
     }
     ++e.capacity;
   }
-  // Each list's run, at the capacity Append would have doubled it to.
+  // Each list's run, at exactly its row count.
   for (size_t slot = 0; slot < index->entries.size(); ++slot) {
     if (index->entries[slot].capacity == 0) continue;
     Index::Entry& e = *index->entries.MutableAt(slot);
-    e.capacity = e.capacity > (uint32_t{1} << 31) ? UINT32_MAX
-                                                  : std::bit_ceil(e.capacity);
-    e.begin = index->arena.AppendRun(e.capacity);
+    e.begin = index->NewRun(e.capacity);
   }
   // Pass 2: the rows, in ascending order, so every list ascends.
   for (size_t row = 0; row < rows; ++row) {

@@ -213,30 +213,48 @@ class Relation {
       kChunkShiftFor<TermId> - 1;
 
   /// One per-mask probe index, chunked like the rows: an open-addressing
-  /// table of key hashes (linear probing, power-of-two capacity at most
-  /// 3/4 full) whose entries locate ascending row lists in one arena. A
-  /// list's capacity is its size rounded up to a power of two. A build
-  /// from scratch (a new mask, or the rebuild a retract forces) places
-  /// each list once at that capacity (BuildIndex), so it leaves no holes.
-  /// Holes come only from extending past the watermark: a full list then
-  /// moves to the arena's end with twice the room, except that the list
-  /// already at the end grows in place while it stays in its chunk; the
-  /// hole a move leaves is reclaimed by the next rebuild from scratch, and
-  /// holes never outgrow the live lists. Every list is contiguous
-  /// (ChunkedArray::AppendRun: no list straddles a chunk, and one longer
-  /// than a chunk has an oversized block of its own), so a cursor walks it
-  /// through a raw pointer. Copying an index shares its chunks, and an
-  /// index allocates chunks, never one block per key.
+  /// table of 16-byte entries (linear probing, power-of-two capacity at
+  /// most 3/4 full), each locating one ascending row list in an arena.
+  ///
+  /// An entry is keyed by a 32-bit fingerprint, the high half of the
+  /// multiply-shift mix of the key hash; its top bits are also the home
+  /// slot, so a doubling re-slots entries from their fingerprints alone.
+  /// Keys whose fingerprints collide share one list. That is correct
+  /// because a cursor checks every listed row against its key
+  /// (RowMatchesKey), and rare: about n^2 / 2^33 colliding pairs among n
+  /// random keys, and fewer among consecutive ids, which the mix spreads
+  /// evenly.
+  ///
+  /// A build from scratch (a new mask, or the rebuild a retract forces)
+  /// places each list once at exactly its row count (BuildIndex), so it
+  /// leaves neither holes nor spare room. Extending past the watermark
+  /// then finds every list full: a full list doubles and moves to the
+  /// arena's end, except that the list already at the end grows in place
+  /// while it stays in its chunk. So one write batch's appends write only
+  /// the arena's tail and the lists it moved there, not one chunk per
+  /// touched list. The hole a move leaves is reclaimed by the next rebuild
+  /// from scratch, and holes never outgrow the live lists. Every list is
+  /// contiguous (ChunkedArray::AppendRun: no list straddles a chunk, and
+  /// one longer than a chunk has an oversized block of its own), so a
+  /// cursor walks it through a raw pointer. An entry holds a list's first
+  /// unit in 32 bits, so an index's arena is bounded at 2^32 units:
+  /// placing a list past that aborts, as a row id past kMaxRows does.
+  /// Copying an index shares its chunks, and an index allocates chunks,
+  /// never one block per key.
   struct Index {
     struct Entry {
-      uint64_t hash = 0;
-      size_t begin = 0;       // arena unit of the row list's first row
+      uint32_t fingerprint = 0;
+      uint32_t begin = 0;     // arena unit of the row list's first row
       uint32_t size = 0;
       uint32_t capacity = 0;  // 0 marks an empty slot
     };
+    static_assert(sizeof(Entry) == 16);
+    /// Most units an index's arena may span (see the struct comment).
+    static constexpr size_t kMaxArenaUnits = size_t{1} << 32;
+
     ChunkedArray<Entry> entries;
     ChunkedArray<uint32_t> arena;
-    uint32_t shift = 64;  // 64 - log2(entries.size())
+    uint32_t shift = 32;  // 32 - log2(entries.size())
     size_t used = 0;      // occupied entries
     /// Release-stored after the list writes of a build; the lock-free
     /// fast path acquires it, so seeing rows_built == size() proves the
@@ -249,19 +267,26 @@ class Relation {
     /// Shares `other`'s chunks; the caller holds `other`'s index mutex.
     Index(const Index& other);
 
+    /// The fingerprint of key hash `hash`.
+    static uint32_t Fingerprint(uint64_t hash) {
+      return static_cast<uint32_t>(HashSlot(hash, 32));
+    }
+
     /// The slot of `hash`'s entry, or of the empty entry ending its probe
     /// chain (the table is non-empty).
     size_t SlotOf(uint64_t hash) const;
-    /// The entry for `hash`, or null when no row has that key hash.
+    /// The entry for `hash`'s fingerprint, or null when no row has it.
     const Entry* Find(uint64_t hash) const;
-    /// The entry for `hash`, or the empty one ending its probe chain,
-    /// which the caller fills in (a nonzero capacity) and counts in
-    /// `used`. Doubles the table first when one more entry would pass
-    /// 3/4 full.
+    /// The entry for `hash`'s fingerprint, or the empty one ending its
+    /// probe chain, which the caller fills in (a nonzero capacity) and
+    /// counts in `used`. Doubles the table first when one more entry would
+    /// pass 3/4 full.
     Entry* Claim(uint64_t hash);
     /// Appends `row`, larger than every row listed so far, to the list of
-    /// `hash`.
+    /// `hash`'s fingerprint.
     void Append(uint64_t hash, uint32_t row);
+    /// A fresh run of `n` arena units; returns its first unit.
+    uint32_t NewRun(size_t n);
     /// Drops every list, keeping the table's size (in fresh chunks).
     void Reset();
 
@@ -296,8 +321,8 @@ class Relation {
   /// watermark otherwise.
   void ExtendIndex(uint64_t mask, Index* index) const REQUIRES(index_mutex_);
   /// Fills the empty `index` with every row in two passes over the rows:
-  /// count each key's rows, place each list once at its final capacity,
-  /// then write the lists in ascending row order.
+  /// count each fingerprint's rows, place each list once at exactly that
+  /// count, then write the lists in ascending row order.
   void BuildIndex(uint64_t mask, Index* index) const REQUIRES(index_mutex_);
   /// Returns the index for `mask`, built up to the current row count
   /// (lock-free when already current; mutex-guarded build otherwise).

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,6 +11,7 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/database.h"
@@ -47,6 +47,11 @@ struct RelationTestPeer {
         rel.indices_.at(mask)->Find(HashRange(key.begin(), key.end()));
     return e == nullptr ? std::pair<size_t, uint32_t>{0, 0}
                         : std::pair<size_t, uint32_t>{e->begin, e->capacity};
+  }
+
+  /// The fingerprint `key` has in an index.
+  static uint32_t Fingerprint(const std::vector<TermId>& key) {
+    return Relation::Index::Fingerprint(HashRange(key.begin(), key.end()));
   }
 
   /// One row list of an index: where it sits, and its rows.
@@ -960,10 +965,11 @@ TEST(RelationModelTest, ListStartingAtAnArenaChunksLastUnit) {
 
 /// Checks the layout of `mask`'s built index over `rel`: every list
 /// ascends, lies in one chunk (or starts an oversized block of its own),
-/// and has capacity bit_ceil(size). When `packed`, as a build from scratch
-/// must be, the lists also tile the arena: a unit no list holds is a run's
-/// skip to a fresh chunk or an oversized block's unused tail, so the
-/// arena has no hole a list moved out of.
+/// and has room for its rows. When `packed`, as a build from scratch must
+/// be, every list's capacity is exactly its size, and the lists tile the
+/// arena: a unit no list holds is a run's skip to a fresh chunk or an
+/// oversized block's unused tail, so the arena has no hole a list moved
+/// out of.
 void CheckListLayout(const Relation& rel, uint64_t mask, bool packed) {
   const size_t chunk = RelationTestPeer::ArenaChunkUnits();
   std::vector<RelationTestPeer::ListView> lists =
@@ -984,8 +990,7 @@ void CheckListLayout(const Relation& rel, uint64_t mask, bool packed) {
     }
     listed += list.rows.size();
     if (!packed) continue;
-    ASSERT_EQ(list.capacity,
-              std::bit_ceil(static_cast<uint32_t>(list.rows.size())));
+    ASSERT_EQ(list.capacity, list.rows.size());
   }
   ASSERT_EQ(listed, rel.size());
   if (!packed) return;
@@ -1107,6 +1112,71 @@ TEST(RelationModelTest, BuildsFromScratchArePackedAndMatchTheModel) {
   }
 }
 
+TEST(RelationModelTest, KeysWithCollidingFingerprintsProbeApart) {
+  // Small consecutive ids do not collide (the multiply-shift mix spreads
+  // them evenly), so search seeded random ids until two fingerprints
+  // match: the birthday bound puts the first match near 2^16 draws.
+  std::mt19937 rng(29);
+  std::unordered_map<uint32_t, TermId> seen;
+  TermId a = 0;
+  TermId b = 0;
+  for (int draw = 0; a == b; ++draw) {
+    ASSERT_LT(draw, 1 << 22) << "no fingerprint collision found";
+    const TermId key = static_cast<TermId>(rng());
+    const auto [it, inserted] =
+        seen.emplace(RelationTestPeer::Fingerprint(Tuple{key}), key);
+    if (!inserted) {
+      a = it->second;
+      b = key;
+    }
+  }
+
+  // Both keys interleaved with each other and with other keys' rows.
+  Relation rel(2);
+  TermId next = 0;
+  auto add = [&](Relation& r, size_t per_key) {
+    for (size_t i = 0; i < per_key; ++i, ++next) {
+      for (TermId key : {a, b, next % 7}) {
+        ASSERT_TRUE(r.Insert(Tuple{key, next}));
+      }
+    }
+  };
+  // Each key's probe, whole and windowed, against a scan for its rows.
+  auto expect_apart = [&](const Relation& r, const char* state) {
+    for (TermId key : {a, b}) {
+      for (const auto& [from, to] : std::vector<std::pair<size_t, size_t>>{
+               {0, r.size()}, {r.size() / 3, r.size()}, {1, r.size() / 2}}) {
+        std::vector<uint32_t> expected;
+        for (size_t row = from; row < to; ++row) {
+          if (r.Row(row)[0] == key) {
+            expected.push_back(static_cast<uint32_t>(row));
+          }
+        }
+        EXPECT_EQ(ProbeBoth(r, 0b01, Tuple{key}, from, to), expected)
+            << state << ": key " << key << " window [" << from << ", " << to
+            << ")";
+      }
+    }
+    // The two keys share one list.
+    EXPECT_EQ(RelationTestPeer::List(r, 0b01, Tuple{a}),
+              RelationTestPeer::List(r, 0b01, Tuple{b}))
+        << state;
+  };
+
+  ASSERT_NO_FATAL_FAILURE(add(rel, 40));
+  expect_apart(rel, "built from scratch");
+  ASSERT_NO_FATAL_FAILURE(add(rel, 25));
+  expect_apart(rel, "appended past the watermark");
+  Relation clone(rel);
+  ASSERT_NO_FATAL_FAILURE(add(clone, 10));
+  clone.RebuildIndexes();
+  expect_apart(clone, "clone");
+  expect_apart(rel, "clone's source");
+  ASSERT_TRUE(rel.Retract(Tuple{a, 3}));
+  ASSERT_TRUE(rel.Retract(Tuple{b, 50}));
+  expect_apart(rel, "rebuilt after retracts");
+}
+
 TEST(RelationModelTest, MutatingACloneNeverChangesTheSource) {
   Relation source(2);
   for (TermId i = 0; i < 300; ++i) source.Insert(Tuple{i % 17, i});
@@ -1159,8 +1229,9 @@ std::unique_ptr<Relation> MakeIndexed(TermId rows, TermId keys) {
 }
 
 TEST(RelationChunkTest, CloneAndOneInsertShareAllButTheTouchedChunks) {
-  // 4-5 rows per key: the built index places each list at capacity 4 or
-  // 8, about 77k arena units, so every array spans at least 4 chunks.
+  // 4-5 rows per key: the built index places each list at exactly its
+  // row count, about 49k arena units, so every array spans at least 4
+  // chunks.
   const TermId rows =
       static_cast<TermId>(6 * RelationTestPeer::DataChunkRows() + 100);
   std::unique_ptr<Relation> source = MakeIndexed(rows, 10'000);
@@ -1199,6 +1270,32 @@ TEST(RelationChunkTest, CloneAndOneInsertShareAllButTheTouchedChunks) {
   std::vector<uint32_t> in_clone;
   clone.Probe(0b01, Tuple{3}, 0, clone.size(), &in_clone);
   EXPECT_EQ(in_clone.size(), in_source.size() + 1);
+}
+
+TEST(RelationChunkTest, InsertBatchOnACloneCopiesOneArenaChunk) {
+  // 3-4 rows per key. Built from scratch, every list is full, so each key
+  // the batch touches moves its list to the arena's tail: the batch
+  // writes one arena chunk, not the chunk of every list it touches.
+  using Peer = RelationTestPeer;
+  constexpr TermId kKeys = 30'000;
+  std::unique_ptr<Relation> source = MakeIndexed(100'000, kKeys);
+  const Peer::Blocks arena = Peer::ArenaBlocks(*source, 0b01);
+  ASSERT_GE(arena.size(), 6u);
+
+  Relation clone(*source);
+  // Eight keys of 3 rows each, listed all over the arena.
+  std::vector<TermId> keys;
+  for (TermId k = 10'000; k < kKeys; k += 2'500) keys.push_back(k);
+  ASSERT_EQ(keys.size(), 8u);
+  for (TermId key : keys) ASSERT_TRUE(clone.Insert(Tuple{key, 1'000'000}));
+  clone.RebuildIndexes();
+  EXPECT_EQ(Differing(Peer::ArenaBlocks(clone, 0b01), arena), 1u);
+  EXPECT_EQ(Peer::ArenaBlocks(*source, 0b01), arena);
+  for (TermId key : keys) {
+    EXPECT_EQ(ProbeBoth(clone, 0b01, Tuple{key}, 0, clone.size()).size(), 4u);
+    EXPECT_EQ(ProbeBoth(*source, 0b01, Tuple{key}, 0, source->size()).size(),
+              3u);
+  }
 }
 
 TEST(RelationChunkTest, CloneOutlivesItsSource) {
